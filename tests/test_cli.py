@@ -181,6 +181,67 @@ def test_kato_graph_file(capsys, tmp_path):
     assert cli.main(["kato", "pointwise", "--graph", "file:/no/such"]) == 1
     assert cli.main(["kato", "pointwise", "--graph", "moebius:7"]) == 1
     capsys.readouterr()
+    empty = tmp_path / "empty.mat"
+    empty.write_text("0\n")
+    for check in ("pointwise", "positivity", "trace", "duhamel", "commute"):
+        code, out = run(capsys, ["kato", check, "--graph", f"file:{empty}"])
+        assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("check", ["pointwise", "pairing", "positivity", "trace"])
+def test_kato_rejects_zero_trials(capsys, check):
+    for trials in ("0", "-3"):
+        code, out = run(capsys, ["kato", check, "--graph", "cycle:8",
+                                 "--trials", trials])
+        assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("check", ["pointwise", "pairing", "positivity",
+                                   "trace", "duhamel", "commute"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-0.5"])
+def test_kato_rejects_bad_time(capsys, check, t):
+    code, out = run(capsys, ["kato", check, "--graph", "cycle:8", "--t", t])
+    assert (code, out) == (1, "")
+
+
+def test_kato_block_matches_trial_by_trial(capsys):
+    import numpy as np
+
+    from spherezeta import kato
+
+    op = kato.cycle_laplacian(20)
+    for check in ("pointwise", "pairing", "positivity"):
+        code, out = run(capsys, ["kato", check, "--graph", "cycle:20",
+                                 "--trials", "7", "--seed", "11", "--t", "0.5"])
+        assert code == 0
+        rec = records(out)[0]
+        rng = np.random.default_rng(11)
+        worst = math.inf
+        for _ in range(7):
+            psi = kato.random_state(20, rng)
+            if check == "pointwise":
+                worst = min(worst, kato.kato_pointwise_check(op, psi).min_slack)
+            elif check == "pairing":
+                phi = np.abs(rng.standard_normal(20))
+                worst = min(worst, kato.generator_pairing_check(op, psi, phi).slack)
+            else:
+                worst = min(worst, kato.positivity_domination_check(op, 0.5, psi).min_slack)
+        assert rec["min_slack"] == pytest.approx(worst, rel=0.0, abs=1e-12)
+        assert rec["verdict"] is True
+
+
+def test_kato_trials_split_into_blocks(capsys, monkeypatch):
+    argvs = [["kato", check, "--graph", "cycle:16", "--trials", "9", "--seed", "5"]
+             for check in ("pointwise", "pairing", "positivity")]
+    whole = [run(capsys, argv) for argv in argvs]
+    # 16-vertex states, 2 per block: blocks of 2, 2, 2, 2 and 1 trials
+    monkeypatch.setattr(cli, "_KATO_BLOCK_ENTRIES", 32)
+    for (code, out), argv in zip(whole, argvs):
+        split_code, split_out = run(capsys, argv)
+        assert split_code == code == 0
+        a, b = records(out)[0], records(split_out)[0]
+        assert a.pop("min_slack") == pytest.approx(b.pop("min_slack"), rel=0.0, abs=1e-12)
+        assert a == b
 
 
 def test_specfun_commands(capsys):

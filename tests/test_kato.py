@@ -4,6 +4,7 @@ semigroup positivity, trace domination, and the Duhamel defect."""
 import numpy as np
 import pytest
 
+from spherezeta import kato
 from spherezeta.kato import (
     commute_residual,
     complete_laplacian,
@@ -287,3 +288,219 @@ def test_random_state_deterministic():
     assert a.shape == (6,)
     assert np.iscomplexobj(a)
     assert np.array_equal(a, b)
+
+
+def _looped_random_graph_laplacian(m, p, seed):
+    # the scalar-draw construction the vectorized builder must reproduce
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((m, m))
+    for i in range(m - 1):
+        adj[i, i + 1] = adj[i + 1, i] = 1.0
+    for i in range(m):
+        for j in range(i + 2, m):
+            if rng.random() < p:
+                adj[i, j] = adj[j, i] = 1.0
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+@pytest.mark.parametrize("m, p, seed", [(2, 0.5, 0), (3, 0.3, 1), (50, 0.2, 7),
+                                        (256, 0.05, 12345), (300, 1.0, 3),
+                                        (100, 0.0, 2)])
+def test_random_graph_laplacian_matches_scalar_draws(m, p, seed):
+    assert np.array_equal(random_graph_laplacian(m, p, seed).entries,
+                          _looped_random_graph_laplacian(m, p, seed))
+
+
+def test_symmetric_operator_rejects_empty_and_nonfinite():
+    with pytest.raises(ValueError):
+        symmetric_operator(np.zeros((0, 0)))
+    with pytest.raises(ValueError):
+        symmetric_operator([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        symmetric_operator([[np.nan]])
+
+
+def test_eigendecomposition_is_cached():
+    op = cycle_laplacian(6)
+    w, u = op.eigh
+    assert op.eigh[0] is w and op.eigh[1] is u
+    assert np.allclose((u * w) @ u.T, op.entries, atol=1e-13)
+    assert op.psd
+    assert not symmetric_operator([[-1.0, 0.0], [0.0, 1.0]]).psd
+    with pytest.raises(ValueError):
+        w[0] = 1.0  # read-only, so the cache cannot be corrupted
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_times_must_be_finite(t):
+    op = cycle_laplacian(5)
+    v = potential(np.ones(5))
+    with pytest.raises(ValueError):
+        semigroup(op, t)
+    with pytest.raises(ValueError):
+        positivity_domination_check(op, t, np.ones(5))
+    with pytest.raises(ValueError):
+        trace_domination_check(op, v, t)
+    with pytest.raises(ValueError):
+        duhamel_residual(op, v, t, steps=8)
+    with pytest.raises(ValueError):
+        commute_residual(op, t)
+
+
+def _duhamel_setups():
+    rng = np.random.default_rng(8)
+    return [(op, potential(rng.uniform(0.0, 1.0, size=op.dim)))
+            for op in (cycle_laplacian(64), complete_laplacian(32),
+                       random_graph_laplacian(48, 0.2, seed=48))]
+
+
+def _exact_duhamel_kernel(wh, wx, t):
+    # int_0^t e^{-(t-s)a} e^{-sb} ds as a divided difference of e^{-t x}
+    a, b = wh[:, None], wx[None, :]
+    diff = b - a
+    near = np.abs(diff) <= 1e-8 * (1.0 + np.abs(a))
+    safe = np.where(near, 1.0, diff)
+    divided = (np.exp(-t * a) - np.exp(-t * b)) / safe
+    # a ~ b: t e^{-t m} with the first correction of the divided difference
+    mid = 0.5 * (a + b)
+    confluent = t * np.exp(-t * mid) * (1.0 + (t * diff) ** 2 / 24.0)
+    return np.where(near, confluent, divided)
+
+
+def test_duhamel_identity_with_exact_integral():
+    # Van Loan 1978; Higham, Functions of Matrices, sec. 10: in the
+    # eigenbases of H = X + Y and X the Duhamel integral is exact
+    t = 1.0
+    for op, v in _duhamel_setups():
+        wx, ux = np.linalg.eigh(op.entries)
+        wh, uh = np.linalg.eigh(op.entries + np.diag(v.diagonal))
+        inner = (uh.T * v.diagonal) @ ux
+        exact = uh @ (_exact_duhamel_kernel(wh, wx, t) * inner) @ ux.T
+        resid = (uh * np.exp(-t * wh)) @ uh.T - (ux * np.exp(-t * wx)) @ ux.T + exact
+        assert np.linalg.norm(resid, 2) <= 1e-12
+        # the Simpson integral converges to it at fourth order
+        errs = [np.linalg.norm(kato._simpson_integral((wh, uh), (wx, ux), v.diagonal,
+                                                      t, s) - exact, 2)
+                for s in (32, 64)]
+        assert 12.0 <= errs[0] / errs[1] <= 20.0
+        assert duhamel_residual(op, v, t, 64) == pytest.approx(errs[1], rel=1e-3)
+
+
+def _looped_simpson_integral(x, ydiag, t, steps):
+    # node-by-node composite Simpson, one pair of matrix exponentials per node
+    wx, ux = np.linalg.eigh(x)
+    wh, uh = np.linalg.eigh(x + np.diag(ydiag))
+    grid = np.linspace(0.0, t, steps + 1)
+    weights = np.ones(steps + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (t / steps) / 3.0
+    integral = np.zeros_like(x)
+    for s_val, w in zip(grid, weights):
+        eh = (uh * np.exp(-(t - s_val) * wh)) @ uh.T
+        ex = (ux * np.exp(-s_val * wx)) @ ux.T
+        integral += w * (eh * ydiag) @ ex
+    return integral
+
+
+@pytest.mark.parametrize("steps", [8, 64])
+def test_collapsed_simpson_matches_looped(steps):
+    for op, v in _duhamel_setups():
+        h = op.entries + np.diag(v.diagonal)
+        collapsed = kato._simpson_integral(np.linalg.eigh(h), op.eigh,
+                                           v.diagonal, 1.3, steps)
+        looped = _looped_simpson_integral(op.entries, v.diagonal, 1.3, steps)
+        assert np.linalg.norm(collapsed - looped, 2) <= 1e-12
+
+
+def _block_and_states(op, rng, trials=12):
+    psi = np.column_stack([random_state(op.dim, rng) for _ in range(trials)])
+    psi[0, 1] = 0.0  # a zero entry exercises sgn(0) = 0
+    phi = np.abs(rng.standard_normal((op.dim, trials)))
+    return psi, phi
+
+
+def test_block_checks_match_per_state_checks():
+    rng = np.random.default_rng(51)
+    for op in builder_set():
+        psi, phi = _block_and_states(op, rng)
+        cols = range(psi.shape[1])
+        for check in (lambda p, tol: kato_pointwise_check(op, p, tol),
+                      lambda p, tol: positivity_domination_check(op, 0.7, p, tol)):
+            block = check(psi, 1e-12)
+            single = [check(psi[:, j], 1e-12) for j in cols]
+            assert block.slack.shape == psi.shape
+            assert np.allclose(block.slack, np.column_stack([r.slack for r in single]),
+                               rtol=0.0, atol=1e-12)
+            assert block.ok == all(r.ok for r in single)
+            assert block.min_slack == pytest.approx(min(r.min_slack for r in single),
+                                                    abs=1e-12)
+            # a cut between the per-state minima: the same states fail either way
+            cut = float(np.median([r.min_slack for r in single]))
+            block = check(psi, -cut)
+            single = [check(psi[:, j], -cut) for j in cols]
+            assert block.ok == all(r.ok for r in single)
+            assert block.first_violation == next(j for j, r in enumerate(single) if not r.ok)
+        block = generator_pairing_check(op, psi, phi)
+        single = [generator_pairing_check(op, psi[:, j], phi[:, j]) for j in cols]
+        assert np.allclose(block.slack, [r.slack for r in single], rtol=0.0, atol=1e-12)
+        assert np.allclose(block.lhs, [r.lhs for r in single], rtol=0.0, atol=1e-12)
+        assert block.ok == all(r.ok for r in single)
+        cut = float(np.median(block.slack))
+        assert not generator_pairing_check(op, psi, phi, -cut).ok
+
+
+def test_block_input_validation():
+    op = cycle_laplacian(5)
+    with pytest.raises(ValueError):
+        kato_pointwise_check(op, np.ones((5, 0)))
+    with pytest.raises(ValueError):
+        positivity_domination_check(op, 1.0, np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        kato_pointwise_check(op, np.ones((5, 2, 2)))
+    with pytest.raises(ValueError):
+        generator_pairing_check(op, np.ones((5, 3)), np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        generator_pairing_check(op, np.ones((5, 3)), -np.ones((5, 3)))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    linalg = kato.np.linalg
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_positivity_block_decomposes_once(eig_calls):
+    op = cycle_laplacian(16)
+    assert eig_calls == []  # construction no longer probes the spectrum
+    rng = np.random.default_rng(5)
+    psi, _ = _block_and_states(op, rng, trials=10)
+    assert positivity_domination_check(op, 1.0, psi).ok
+    # one eigh of L; trial by trial it was 2 * 10 + 1 decompositions
+    assert len(eig_calls) == 1
+    name, mat = eig_calls[0]
+    assert name == "eigh" and np.array_equal(mat, op.entries)
+    assert commute_residual(op, 2.0) <= 1e-12
+    assert len(eig_calls) == 1
+
+
+def test_duhamel_and_trace_decomposition_counts(eig_calls):
+    op = cycle_laplacian(12)
+    v = potential(np.linspace(0.0, 1.0, 12))
+    duhamel_residual(op, v, 1.0, steps=16)
+    assert [name for name, _ in eig_calls] == ["eigh", "eigh"]
+    del eig_calls[:]
+    for t in (0.5, 1.0, 2.0):
+        assert trace_domination_check(cycle_laplacian(12), v, t).ok
+        # the free spectrum is the operator's cached one for every potential
+        assert trace_domination_check(op, potential(np.full(12, t)), t).ok
+    assert [name for name, _ in eig_calls] == ["eigh", "eigvalsh", "eigvalsh"] * 3
