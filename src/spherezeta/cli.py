@@ -384,8 +384,8 @@ def _cmd_kato(args):
     rec = {"command": "kato", "check": args.check, "graph": args.graph,
            "seed": args.seed, "t": args.t}
     if args.check in ("pointwise", "pairing", "positivity"):
-        # trials are checked as blocks of columns, drawn in the order of
-        # trial-by-trial runs; the block width caps memory at any --trials
+        # trials are checked as blocks of columns, drawn state by state so
+        # the result does not depend on the block width, which caps memory
         worst, ok = math.inf, True
         width = max(1, _KATO_BLOCK_ENTRIES // op.dim)
         for start in range(0, args.trials, width):

@@ -485,7 +485,7 @@ def test_positivity_block_decomposes_once(eig_calls):
     rng = np.random.default_rng(5)
     psi, _ = _block_and_states(op, rng, trials=10)
     assert positivity_domination_check(op, 1.0, psi).ok
-    # one eigh of L; trial by trial it was 2 * 10 + 1 decompositions
+    # the semigroup reuses L's decomposition for every state of the block
     assert len(eig_calls) == 1
     name, mat = eig_calls[0]
     assert name == "eigh" and np.array_equal(mat, op.entries)
