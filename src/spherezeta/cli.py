@@ -20,6 +20,7 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -71,18 +72,24 @@ def _emit(records: list[dict], fmt: str, out) -> None:
     raise UsageError(f"unknown format {fmt!r}")
 
 
+# most points a --s-grid / --t-grid may expand to
+_GRID_MAX_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
+    # decimal arithmetic, so a + i*step does not drift (0.1:0.5:0.1 gives 0.3)
     try:
-        a, b, step = (float(p) for p in text.split(":"))
-    except Exception as exc:
+        a, b, step = (Decimal(p) for p in text.split(":"))
+        if not all(math.isfinite(float(x)) for x in (a, b, step)):
+            raise UsageError(f"grid {text!r} needs finite a, b and step")
+        if step <= 0 or b < a:
+            raise UsageError("grid needs a <= b and step > 0")
+        if b - a >= step * _GRID_MAX_POINTS:
+            raise UsageError(f"grid {text!r} has more than {_GRID_MAX_POINTS} points")
+        count = int((b - a) // step) + 1
+    except (ValueError, ArithmeticError) as exc:
         raise UsageError(f"bad grid {text!r}, expected a:b:step") from exc
-    if step <= 0 or b < a:
-        raise UsageError("grid needs a <= b and step > 0")
-    vals, x = [], a
-    while x <= b + 1e-9 * step:
-        vals.append(x)
-        x += step
-    return vals
+    return [float(a + i * step) for i in range(count)]
 
 
 def _parse_csv_floats(text: str, name: str) -> list[float]:
@@ -317,7 +324,8 @@ def _cmd_heat_trace(args):
     return recs, True
 
 
-def _cmd_mellin_check(args, cfg):
+def _cmd_mellin_check(args):
+    cfg = args.cfg
     verdict_tol = args.tol if args.tol is not None else 1e-6
     pol = TruncationPolicy(
         max_k=args.max_k if args.max_k is not None else 2_000_000,
@@ -458,6 +466,14 @@ def _cmd_specfun(args):
     return [rec], True
 
 
+_COMMANDS = {
+    "spectrum": _cmd_spectrum, "zeta": _cmd_zeta, "kernel": _cmd_kernel,
+    "heat-trace": _cmd_heat_trace, "mellin-check": _cmd_mellin_check,
+    "dominate": _cmd_dominate, "majorize": _cmd_majorize, "kato": _cmd_kato,
+    "specfun": _cmd_specfun,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -465,31 +481,13 @@ def main(argv=None) -> int:
         for name in ("format", "tol", "max_k", "config", "out"):
             if not hasattr(args, name):
                 setattr(args, name, None)
-        cfg = _load_config(args.config) if args.config else {}
+        cfg = args.cfg = _load_config(args.config) if args.config else {}
         if args.tol is None and "tol" in cfg:
             args.tol = cfg["tol"]
         if args.max_k is None and "max_k" in cfg:
             args.max_k = cfg["max_k"]
         fmt = args.format or cfg.get("format", "json")
-
-        if args.command == "spectrum":
-            records, ok = _cmd_spectrum(args)
-        elif args.command == "zeta":
-            records, ok = _cmd_zeta(args)
-        elif args.command == "kernel":
-            records, ok = _cmd_kernel(args)
-        elif args.command == "heat-trace":
-            records, ok = _cmd_heat_trace(args)
-        elif args.command == "mellin-check":
-            records, ok = _cmd_mellin_check(args, cfg)
-        elif args.command == "dominate":
-            records, ok = _cmd_dominate(args)
-        elif args.command == "majorize":
-            records, ok = _cmd_majorize(args)
-        elif args.command == "kato":
-            records, ok = _cmd_kato(args)
-        else:
-            records, ok = _cmd_specfun(args)
+        records, ok = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

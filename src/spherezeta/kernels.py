@@ -7,10 +7,12 @@ cos(gamma) = <x, y>, and are expanded in normalized Gegenbauer ratios r_k,
     zeta:  zeta_s(x, y)   = (1/V_n) sum_{k>=1} d_k lambda_k^(-s) r_k,
 
 with V_n the sphere volume, so that V_n * K_t on the diagonal reproduces
-the heat trace exactly.  Tail certificates rest on |r_k| <= 1 and the
-elementary multiplicity bound d_k(n) <= 2 (k+1)^(n-1), closed with an
-incomplete-Gaussian integral for the heat family and a pure power tail for
-the zeta family.
+the heat trace exactly.  Both are ``truncation.certified_sum`` calls over
+d_k r_k / V_n, with the k = 0 heat term 1/V_n passed as the offset.  Tail
+certificates rest on |r_k| <= 1: the heat family bounds the multiplicity by
+d_k(n) <= 2 (k+1)^(n-1) and closes with an incomplete-Gaussian integral;
+the zeta family uses the spectral zeta tail of ``zeta``, built on the exact
+multiplicity polynomial with midpoint-corrected monomial tails.
 
 ``mellin_zeta_kernel`` reproduces the zeta kernel from the heat kernel via
 
@@ -39,10 +41,11 @@ from .truncation import (
     DEFAULT_POLICY,
     AccuracyError,
     EvalResult,
-    TruncationError,
     TruncationPolicy,
-    _roundoff_allowance,
+    certified_sum,
+    smallest_k,
 )
+from .zeta import _spectral_tail
 
 
 @dataclass(frozen=True)
@@ -106,74 +109,39 @@ def _heat_tail_bound(n: int, t: float, k_last: int) -> float:
     return 2.0**n * (c ** (n - 1) * ect + integral)
 
 
-def _zeta_tail_bound(n: int, s: float, k_last: int) -> float:
-    """Certified bound on sum_{k > k_last} d_k lambda_k^(-s), s > n/2."""
-    c = float(k_last + 1)
-    p = 2.0 * s - n
-    return 2.0**n * (c ** (n - 1 - 2.0 * s) + c ** (-p) / p)
+def _heat_k_min(n: int, t: float) -> int:
+    # first K past the monotonicity threshold of _heat_tail_bound
+    return max(8, math.ceil(math.sqrt((n - 1) / (2.0 * t))))
 
 
-def _find_k(bound_fn, tol: float, max_k: int, k_floor: int = 8) -> int:
-    k = max(8, k_floor)
-    if k > max_k:
-        raise TruncationError(
-            f"series needs at least {k} terms, over the budget max_k={max_k}"
-        )
-    while bound_fn(k) > tol and k < max_k:
-        k = min(2 * k, max_k)
-    if bound_fn(k) > tol:
-        raise TruncationError(
-            f"series tail not certifiable at tol={tol:.3e} within max_k={max_k}"
-        )
-    return k
+def _zonal_sum(q: KernelQuery, decay, tail, k_min: int,
+               offset: float | None = None) -> EvalResult:
+    """Certified (1/V_n) [offset + sum_{k>=1} d_k r_k decay(lambda_k)],
+    where tail(K) bounds the unweighted sum past K (|r_k| <= 1)."""
+    vol = sphere_spec(q.n).volume
 
+    def terms(k):
+        lam, _, d = _spectral_arrays(q.n, k)
+        return d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * decay(lam) / vol
 
-def _kernel_arrays(n: int, cos_gamma: float, kmax: int):
-    pot = 1
-    while pot < kmax:
-        pot *= 2
-    lam, _, d = _spectral_arrays(n, pot)
-    r = gegenbauer_ratio_series(n, cos_gamma, pot)
-    return lam, d, r[1:]
+    return certified_sum(terms, lambda k: (0.0, tail(k) / vol), q.policy, k_min,
+                         None if offset is None else offset / vol)
 
 
 def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
     """Zonal heat kernel K_t at cos(gamma), certified to q.policy.tol."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    spec = sphere_spec(q.n)
-    floor = 8
-    if q.n > 1:
-        floor = max(8, math.ceil(math.sqrt((q.n - 1) / (2.0 * t))))
-    k_used = _find_k(
-        lambda k: _heat_tail_bound(q.n, t, k) / spec.volume,
-        q.policy.tol, q.policy.max_k, floor,
-    )
-    lam, d, r = _kernel_arrays(q.n, q.cos_gamma, k_used)
-    terms = d[:k_used] * r[:k_used] * np.exp(-lam[:k_used] * t)
-    partial = float(np.sum(terms))
-    value = (1.0 + partial) / spec.volume
-    tail = _heat_tail_bound(q.n, t, k_used) / spec.volume
-    tail += _roundoff_allowance(float(np.sum(np.abs(terms))) + 1.0, k_used) / spec.volume
-    return EvalResult(value=value, terms_used=k_used + 1, tail_bound=tail)
+    return _zonal_sum(q, lambda lam: np.exp(-lam * t),
+                      lambda k: _heat_tail_bound(q.n, t, k), _heat_k_min(q.n, t), 1.0)
 
 
 def zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
-    """Zonal zeta kernel at cos(gamma) for s > n/2, certified tail."""
+    """Zonal zeta kernel at cos(gamma) for s > n/2, certified to q.policy.tol."""
     if not (s > q.n / 2.0):
         raise ValueError("need s > n/2 for convergence")
-    spec = sphere_spec(q.n)
-    k_used = _find_k(
-        lambda k: _zeta_tail_bound(q.n, s, k) / spec.volume,
-        q.policy.tol, q.policy.max_k,
-    )
-    lam, d, r = _kernel_arrays(q.n, q.cos_gamma, k_used)
-    terms = d[:k_used] * r[:k_used] * np.power(lam[:k_used], -s)
-    partial = float(np.sum(terms))
-    value = partial / spec.volume
-    tail = _zeta_tail_bound(q.n, s, k_used) / spec.volume
-    tail += _roundoff_allowance(float(np.sum(np.abs(terms))), k_used) / spec.volume
-    return EvalResult(value=value, terms_used=k_used, tail_bound=tail)
+    return _zonal_sum(q, lambda lam: np.power(lam, -s),
+                      lambda k: sum(_spectral_tail(s, q.n, k)), 8)
 
 
 def heat_trace(t: float, n: int,
@@ -183,23 +151,13 @@ def heat_trace(t: float, n: int,
         raise ValueError("time t must be positive")
     if n < 1:
         raise ValueError("need n >= 1")
-    floor = 8
-    if n > 1:
-        floor = max(8, math.ceil(math.sqrt((n - 1) / (2.0 * t))))
-    k_used = _find_k(lambda k: _heat_tail_bound(n, t, k), policy.tol,
-                     policy.max_k, floor)
-    lam, _, d = _spectral_arrays(n, _pot(k_used))
-    terms = d[:k_used] * np.exp(-lam[:k_used] * t)
-    partial = float(np.sum(terms))
-    tail = _heat_tail_bound(n, t, k_used) + _roundoff_allowance(partial + 1.0, k_used)
-    return EvalResult(value=1.0 + partial, terms_used=k_used + 1, tail_bound=tail)
 
+    def terms(k):
+        lam, _, d = _spectral_arrays(n, k)
+        return d * np.exp(-lam * t)
 
-def _pot(k: int) -> int:
-    p = 1
-    while p < k:
-        p *= 2
-    return p
+    return certified_sum(terms, lambda k: (0.0, _heat_tail_bound(n, t, k)), policy,
+                         _heat_k_min(n, t), offset=1.0)
 
 
 def circle_heat_oracle(t: float, gamma: float) -> float:
@@ -221,15 +179,13 @@ def _excited_sum(n: int, big_t: float) -> float:
     """Upper bound for e^{lambda_1 T} sum_{k>=1} d_k e^{-lambda_k T}."""
     lam1 = float(n)
     scale = math.exp(lam1 * big_t)
-    k = 8
-    while True:
-        b = max(_heat_tail_bound(n, big_t, k), 1e-290) * scale
-        if b < 1e-16 or k >= 1 << 20:
-            break
-        k *= 2
-    lam, _, d = _spectral_arrays(n, _pot(k))
-    val = float(np.sum(d[:k] * np.exp(-(lam[:k] - lam1) * big_t)))
-    return val + b
+
+    def bound(k):
+        return max(_heat_tail_bound(n, big_t, k), 1e-290) * scale
+
+    k = smallest_k(bound, 1e-16, 8, 1 << 20)
+    lam, _, d = _spectral_arrays(n, k)
+    return float(np.sum(d * np.exp(-(lam - lam1) * big_t))) + bound(k)
 
 
 def mellin_zeta_kernel(s: float, q: KernelQuery,
@@ -283,24 +239,18 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
     # per-node series accuracy target
     node_tol = 0.25 * tol * gam_s * s / quad.t_cutoff**s
 
-    floor = 8
-    if n > 1:
-        floor = max(8, math.ceil(math.sqrt((n - 1) / (2.0 * t_min))))
-    k_cap = _find_k(lambda k: _heat_tail_bound(n, t_min, k) / vol,
-                    node_tol, q.policy.max_k, floor)
-    lam, d, r = _kernel_arrays(n, q.cos_gamma, k_cap)
-    w = d[:k_cap] * r[:k_cap]
-    lam = lam[:k_cap]
+    k_cap = smallest_k(lambda k: _heat_tail_bound(n, t_min, k) / vol, node_tol,
+                       _heat_k_min(n, t_min), q.policy.max_k)
+    lam, _, d = _spectral_arrays(n, k_cap)
+    w = d * gegenbauer_ratio_series(n, q.cos_gamma, k_cap)[1:]
 
     def series_node(t: float) -> tuple[float, float]:
-        kf = 8
-        if n > 1:
-            kf = max(8, math.ceil(math.sqrt((n - 1) / (2.0 * t))))
-        k = min(kf, k_cap)
-        while _heat_tail_bound(n, t, k) / vol > node_tol and k < k_cap:
-            k = min(2 * k, k_cap)
-        val = float(np.dot(w[:k], np.exp(-lam[:k] * t))) / vol
-        return val, _heat_tail_bound(n, t, k) / vol
+        # the heat tail bound falls with t, so t >= t_min meets node_tol by k_cap
+        def bound(k):
+            return _heat_tail_bound(n, t, k) / vol
+
+        k = smallest_k(bound, node_tol, min(_heat_k_min(n, t), k_cap), k_cap)
+        return float(np.dot(w[:k], np.exp(-lam[:k] * t))) / vol, bound(k)
 
     x16, w16 = leggauss(16)
     node_err = 0.0

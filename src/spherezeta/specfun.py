@@ -27,14 +27,13 @@ import math
 import numpy as np
 
 from .truncation import (
+    _TIGHT,
     DEFAULT_POLICY,
     EvalResult,
     TruncationError,
     TruncationPolicy,
     shifted_power_sum,
 )
-
-_TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 
 
 def gamma_fn(x: float) -> float:

@@ -141,16 +141,30 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs)
 
 
-@lru_cache(maxsize=64)
 def _spectral_arrays(n: int, kmax: int):
-    """Read-only float arrays (lam, mu_sqrt, d) for k = 1..kmax."""
+    """Read-only float arrays (lam, mu_sqrt, d) for k = 1..kmax.
+
+    Views into a cached block whose length is kmax rounded up to a power of
+    two, so a ladder of nearby K shares one cache entry.
+    """
+    block = _spectral_block(n, 1 << (max(kmax, 1) - 1).bit_length())
+    return tuple(a[:kmax] for a in block)
+
+
+@lru_cache(maxsize=64)
+def _spectral_block(n: int, kmax: int):
     k = np.arange(1, kmax + 1, dtype=float)
     lam = k * (k + n - 1)
     u = k + (n - 1) / 2.0
-    coeffs = mult_poly_coeffs(n)
-    d = np.zeros_like(u)
-    for c in reversed(coeffs):
-        d = d * u + c
+    # d_k = (2k + n - 1) C(k + n - 2, n - 2) / (n - 1) from the integer
+    # partial products C(k + i, i): exact while they stay below 2^53, a few
+    # eps off beyond; Horner on mult_poly_coeffs cancels (1.6e-11 at n = 40)
+    d = np.full_like(k, 2.0)
+    if n > 1:
+        d = np.ones_like(k)
+        for i in range(1, n - 1):
+            d = d * (k + i) / i
+        d = d * (2.0 * k + n - 1) / (n - 1)
     for arr in (k, lam, u, d):
         arr.setflags(write=False)
     return lam, u, d

@@ -7,7 +7,13 @@ floating-point accumulation).  Callers state their accuracy demands through
 a ``TruncationPolicy``; if the demand cannot be certified within the term
 budget the evaluator raises instead of silently returning a bad number.
 
-The workhorse is the midpoint-rule tail estimate for sums of decreasing
+All certified sums go through one core.  ``smallest_k`` walks the single
+K ladder k_min, 2 k_min, 4 k_min, ... up to max_k until a tail bound meets
+its target; ``certified_sum`` takes K with truncation bound <= tol/2, sums,
+adds the roundoff allowance, and raises ``AccuracyError`` when that total
+exceeds tol.
+
+The workhorse tail is the midpoint-rule estimate for sums of decreasing
 convex terms f(k) = (k + a)^(-p):
 
     sum_{k >= K} f(k)  =  integral_{K-1/2}^{inf} f(x) dx  +  err,
@@ -66,6 +72,8 @@ class EvalResult:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+# tight inner sums of the closed forms and the binomial Hurwitz route
+_TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 
 
 def power_tail(p: float, a: float, k_from: int) -> tuple[float, float]:
@@ -89,28 +97,50 @@ def _roundoff_allowance(abs_sum: float, nterms: int) -> float:
     return (math.log2(max(nterms, 2)) + 2.0) * _EPS * abs_sum
 
 
+def smallest_k(bound, target: float, k_min: int, max_k: int) -> int:
+    """First K on the ladder k_min, 2 k_min, 4 k_min, ... (capped at max_k)
+    with bound(K) <= target; raises TruncationError if max_k misses it."""
+    k = min(k_min, max_k)
+    while not bound(k) <= target:
+        if k >= max_k:
+            raise TruncationError(
+                f"tail bound {bound(k):.3e} still exceeds {target:.3e} "
+                f"at the term budget max_k={max_k}"
+            )
+        k = min(2 * k, max_k)
+    return k
+
+
+def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
+                  offset: float | None = None) -> EvalResult:
+    """Certified value of offset + sum(terms(K)) + the tail estimate.
+
+    terms(K) returns the first K terms and tail(K) an (estimate, bound)
+    pair for everything after them; K is the first rung of ``smallest_k``
+    whose bound is within tol/2.  offset is an exactly known leading term
+    (counted in terms_used).  The returned bound is the truncation bound
+    plus the roundoff allowance over sum|terms| + |offset|; if that total
+    exceeds tol, AccuracyError is raised.
+    """
+    k = smallest_k(lambda j: tail(j)[1], 0.5 * policy.tol, k_min, policy.max_k)
+    est, bound = tail(k)
+    head = terms(k)
+    lead = 0.0 if offset is None else offset
+    total = bound + _roundoff_allowance(float(np.sum(np.abs(head))) + abs(lead), k)
+    if not total <= policy.tol:
+        raise AccuracyError(
+            f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
+            f"exceeds tol {policy.tol:.3e}"
+        )
+    return EvalResult(value=lead + float(np.sum(head)) + est,
+                      terms_used=k + (offset is not None), tail_bound=total)
+
+
 def shifted_power_sum(p: float, a: float, policy: TruncationPolicy) -> EvalResult:
     """Certified evaluation of sum_{k >= 0} (k + a)^(-p) for p > 1, a > 0."""
     if p <= 1.0:
         raise ValueError("exponent must exceed 1 for convergence")
     if a <= 0.0:
         raise ValueError("shift must be positive")
-
-    k_used = 16
-    while True:
-        _, bound = power_tail(p, a, k_used)
-        if bound <= 0.5 * policy.tol or k_used >= policy.max_k:
-            break
-        k_used = min(2 * k_used, policy.max_k)
-    est, bound = power_tail(p, a, k_used)
-    if bound > policy.tol:
-        raise TruncationError(
-            f"tail bound {bound:.3e} exceeds tol {policy.tol:.3e} "
-            f"at max_k={policy.max_k}"
-        )
-
-    terms = np.power(np.arange(k_used, dtype=float) + a, -p)
-    partial = float(np.sum(terms))
-    value = partial + est
-    tail = bound + _roundoff_allowance(partial, k_used)
-    return EvalResult(value=value, terms_used=k_used, tail_bound=tail)
+    return certified_sum(lambda k: np.power(np.arange(k, dtype=float) + a, -p),
+                         lambda k: power_tail(p, a, k), policy, 16)

@@ -33,16 +33,15 @@ import numpy as np
 from .majorize import partial_sum_domination
 from .spectrum import _spectral_arrays, mult_poly_coeffs, sphere_spec
 from .truncation import (
+    _TIGHT,
     DEFAULT_POLICY,
     EvalResult,
-    TruncationError,
     TruncationPolicy,
-    _roundoff_allowance,
+    certified_sum,
     power_tail,
     shifted_power_sum,
 )
 
-_TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 _JMAX = 4  # binomial expansion depth for the unshifted tail
 
 
@@ -63,13 +62,6 @@ def _pow(base: float, expo: float) -> float:
     if base <= 0.0:
         raise ValueError("positive base required")
     return math.exp(expo * math.log(base))
-
-
-def _round_up_pow2(k: int) -> int:
-    p = 1
-    while p < k:
-        p *= 2
-    return p
 
 
 def _regularized_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
@@ -118,55 +110,38 @@ def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
         z = k_last + 0.5 + rho
         ratio = rho * rho * (s + _JMAX + 1.0) / ((_JMAX + 2.0) * z * z)
         if ratio >= 1.0:
-            raise TruncationError("expansion ratio not contracting; raise k")
+            return est, math.inf  # not contracting yet: the K ladder moves on
         bound += w_next * rem / (1.0 - ratio)
     return est, bound
 
 
-def _summed_series(s, n, policy, tail_fn, term_exponent):
-    """Shared driver: direct terms k = 1..K plus a certified monomial tail.
-
-    term_exponent selects the summed quantity: "lam" for lambda_k^(-s),
-    "mu" for (k+rho)^(-2s).
-    """
+def _summed_series(s, n, policy, tail_fn, weight):
+    """Shared driver: direct terms d_k weight(lam_k, k + rho), k = 1..K, plus
+    a certified monomial tail."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not (s > n / 2.0):
         raise ValueError("need s > n/2 for convergence")
-    k_used = 16
-    while True:
-        _, bound = tail_fn(s, n, k_used)
-        if bound <= 0.5 * policy.tol or k_used >= policy.max_k:
-            break
-        k_used = min(2 * k_used, policy.max_k)
-    est, bound = tail_fn(s, n, k_used)
-    if bound > policy.tol:
-        raise TruncationError(
-            f"tail bound {bound:.3e} exceeds tol {policy.tol:.3e} "
-            f"at max_k={policy.max_k}"
-        )
-    lam, u, d = _spectral_arrays(n, _round_up_pow2(k_used))
-    lam, u, d = lam[:k_used], u[:k_used], d[:k_used]
-    if term_exponent == "lam":
-        terms = d * np.power(lam, -s)
-    else:
-        terms = d * np.power(u, -2.0 * s)
-    partial = float(np.sum(terms))
-    value = partial + est
-    tail = bound + _roundoff_allowance(partial, k_used)
-    return EvalResult(value=value, terms_used=k_used, tail_bound=tail)
+
+    def terms(k):
+        lam, u, d = _spectral_arrays(n, k)
+        return d * weight(lam, u)
+
+    return certified_sum(terms, lambda k: tail_fn(s, n, k), policy, 16)
 
 
 def spectral_zeta(s: float, n: int,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> EvalResult:
     """zeta_{S^n}(s) = sum_{k>=1} d_k(n) [k(k+n-1)]^(-s), s > n/2."""
-    return _summed_series(s, n, policy, _spectral_tail, "lam")
+    return _summed_series(s, n, policy, _spectral_tail,
+                          lambda lam, u: np.power(lam, -s))
 
 
 def regularized_zeta(s: float, n: int,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> EvalResult:
     """Z_{S^n}(s) = sum_{k>=1} d_k(n) (k + (n-1)/2)^(-2s), s > n/2."""
-    return _summed_series(s, n, policy, _regularized_tail, "mu")
+    return _summed_series(s, n, policy, _regularized_tail,
+                          lambda lam, u: np.power(u, -2.0 * s))
 
 
 def hurwitz_style_Z(s: float, c: float,
@@ -233,8 +208,7 @@ def compare_zeta_pair(s: float, n: int, kmax: int,
         raise ValueError("kmax must be >= 1")
     zl = spectral_zeta(s, n, policy)
     zs = regularized_zeta(s, n, policy)
-    lam, u, d = _spectral_arrays(n, _round_up_pow2(kmax))
-    lam, u, d = lam[:kmax], u[:kmax], d[:kmax]
+    lam, u, d = _spectral_arrays(n, kmax)
     shifted_terms = d * np.power(u, -2.0 * s)
     laplace_terms = d * np.power(lam, -s)
     dom = partial_sum_domination(shifted_terms, laplace_terms)

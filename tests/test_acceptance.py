@@ -49,9 +49,9 @@ from spherezeta.spectrum import (
     sphere_spec,
     spectrum_slice,
 )
-from spherezeta.truncation import TruncationPolicy
+from spherezeta.truncation import AccuracyError, TruncationPolicy
 from spherezeta.zeta import closed_form_Z, compare_zeta_pair, regularized_zeta, spectral_zeta
-from _oracles import ref_riemann
+from _oracles import ref_hurwitz, ref_riemann
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-12)
 
@@ -207,22 +207,34 @@ def test_a05_circle_oracle_and_semigroup():
     assert worst_semi <= 1e-8
 
 
+# Direct sums that reach 1e4 to 1e6 (rho^(-2s)): one ulp there is above
+# 1e-12, so the certified direct route must refuse tol 1e-12.
+_A06_UNCERTIFIABLE = {(1.5, 0.1), (2.0, 0.1), (3.0, 0.1), (3.0, 0.25)}
+
+
 def test_a06_binomial_hurwitz_route():
-    worst = 0.0
+    worst_ref = worst = 0.0
     for s in (1.1, 1.5, 2.0, 3.0):
         for rho in (0.1, 0.25, 0.5, 0.9):
             m_max = 600 if rho > 0.8 else 80
             via = hurwitz_via_binomial(s, rho, m_max).value
+            worst_ref = max(worst_ref, abs(via - ref_hurwitz(2.0 * s, rho)))
+            if (s, rho) in _A06_UNCERTIFIABLE:
+                with pytest.raises(AccuracyError):
+                    hurwitz_zeta(2.0 * s, rho, TIGHT)
+                continue
             direct = hurwitz_zeta(2.0 * s, rho, TIGHT).value
             worst = max(worst, abs(via - direct))
+    assert worst_ref <= 1e-9
     assert worst <= 1e-9
     worst_unit = 0.0
     for s in (2.0, 3.0, 4.0):
         worst_unit = max(worst_unit, abs(hurwitz_zeta(s, 1.0, TIGHT).value
                                          - riemann_zeta(s, TIGHT).value))
-    ok = worst <= 1e-9 and worst_unit <= 1e-12
+    ok = worst_ref <= 1e-9 and worst <= 1e-9 and worst_unit <= 1e-12
     _line("binomial Hurwitz route", ok,
-          f"grid worst {worst:.2e} <= 1e-9; "
+          f"mpmath worst {worst_ref:.2e} <= 1e-9; "
+          f"direct worst {worst:.2e} <= 1e-9 at 12 certifiable points; "
           f"unit-shift worst {worst_unit:.2e} <= 1e-12")
     assert worst_unit <= 1e-12
 

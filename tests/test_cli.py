@@ -1,5 +1,6 @@
 """Command-line interface: records, formats, exit codes, config handling."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -324,3 +325,49 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 3
+
+
+def test_grid_points_do_not_drift(capsys):
+    code, out = run(capsys, ["heat-trace", "--n", "2", "--t-grid", "0.1:0.5:0.1"])
+    assert code == 0
+    assert [r["t"] for r in records(out)] == [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert '"t": 0.30000000000000004' not in out
+
+
+@pytest.mark.parametrize("grid", ["1:inf:0.5", "2:nan:0.5", "-inf:3:1", "2:3:inf",
+                                  "1e999:1e999:1", "2:3:0", "3:2:1", "2:3",
+                                  "2:x:1", "0:1e9:1", "0:1e30:1e-30"])
+def test_bad_grids_are_usage_errors(capsys, grid):
+    # non-finite parts, empty ranges, malformed text, and grids over the
+    # point budget all exit 1 before any evaluation, with nothing on stdout
+    assert cli.main(["zeta", "--n", "2", "--s-grid", grid]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_grid_point_budget(capsys):
+    top = cli._GRID_MAX_POINTS
+    assert len(cli._parse_grid(f"0:{top - 1}:1")) == top
+    assert cli.main(["heat-trace", "--n", "1", "--t-grid", f"1:{top + 1}:1"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_dominate_high_dimension(capsys):
+    # the unshifted zeta tail at n = 40 needs K = 32, past the first rung
+    code, out = run(capsys, ["dominate", "--n", "40", "--s", "20.5"])
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["dominated"] is True
+    assert rec["laplace_bound"] <= 1e-10
+
+
+def test_kernel_over_roundoff_floor_exits_one(capsys):
+    # bound 4e65 at tol 1e-8 used to be printed with exit 0
+    assert cli.main(["kernel", "--kind", "heat", "--n", "60", "--t", "1e-6",
+                     "--cos-gamma", "0.5"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_every_subcommand_has_a_handler():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS)

@@ -14,6 +14,7 @@ from spherezeta.kernels import (
     mellin_zeta_kernel,
     zeta_kernel,
 )
+from spherezeta.specfun import gegenbauer_ratio_series
 from spherezeta.spectrum import sphere_spec
 from spherezeta.truncation import (
     AccuracyError,
@@ -21,7 +22,7 @@ from spherezeta.truncation import (
     TruncationPolicy,
 )
 from spherezeta.zeta import spectral_zeta
-from _oracles import ref_circle_heat
+from _oracles import ref_circle_heat, ref_mult
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 
@@ -225,3 +226,39 @@ def test_mellin_guard_rails():
                          policy=TruncationPolicy(max_k=64, tol=1e-7))
     with pytest.raises(TruncationError):
         mellin_zeta_kernel(2.0, capped)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_zeta_kernel_high_dimension_certifies(n):
+    # the zeta tail uses the exact multiplicity polynomial, so s = n/2 + 1
+    # closes within a few terms (the old 2^n d_k bound needed ~2e5 at n = 12)
+    s = n / 2.0 + 1.0
+    pol = TruncationPolicy(tol=1e-8)
+    r = zeta_kernel(s, KernelQuery(n=n, cos_gamma=0.3, policy=pol))
+    assert r.tail_bound <= 1e-8
+    # brute force to K = 4096: the omitted terms fall like 2/(n-1)! k^-3
+    big = 4096
+    k = np.arange(1, big + 1)
+    d = np.array([float(ref_mult(j, n)) for j in k])
+    terms = d * gegenbauer_ratio_series(n, 0.3, big)[1:] * (k * (k + n - 1.0)) ** -s
+    brute = math.fsum(terms) / sphere_spec(n).volume
+    assert abs(r.value - brute) <= r.tail_bound + 1e-15
+    # on the diagonal V_n zeta_s(x, x) is the spectral zeta
+    diag = zeta_kernel(s, KernelQuery(n=n, cos_gamma=1.0, policy=pol))
+    z = spectral_zeta(s, n, pol)
+    vol = sphere_spec(n).volume
+    assert abs(vol * diag.value - z.value) <= vol * diag.tail_bound + z.tail_bound
+
+
+@pytest.mark.parametrize("t,n,tol", [(1e-4, 20, 1e-8), (1e-6, 60, 1e-8)])
+def test_heat_kernel_roundoff_floor_refuses(t, n, tol):
+    # sum |terms| is ~1e14 (n = 20) and ~6e63 (n = 60), so float64 roundoff
+    # alone exceeds tol (these used to return bounds of 1.06 and 4e65)
+    with pytest.raises(AccuracyError):
+        heat_kernel(t, KernelQuery(n=n, cos_gamma=0.5, policy=TruncationPolicy(tol=tol)))
+
+
+def test_heat_trace_roundoff_floor_refuses():
+    # trace ~1.7e7 at t = 1e-4 on S^4: tol 1e-10 is below its roundoff
+    with pytest.raises(AccuracyError):
+        heat_trace(1e-4, 4, TruncationPolicy(tol=1e-10))

@@ -18,7 +18,7 @@ from spherezeta.specfun import (
     legendre_rodrigues_oracle,
     riemann_zeta,
 )
-from spherezeta.truncation import TruncationError, TruncationPolicy
+from spherezeta.truncation import AccuracyError, TruncationError, TruncationPolicy
 from _oracles import ref_hurwitz, ref_riemann
 
 GRID21 = np.linspace(-1.0, 1.0, 21)
@@ -60,6 +60,13 @@ def test_hurwitz_zeta_certificate(s, a):
 def test_hurwitz_zeta_half_anchor():
     # sum (k + 1/2)^-2 = 4 sum odd^-2 = pi^2 / 2
     assert hurwitz_zeta(2.0, 0.5).value == pytest.approx(math.pi**2 / 2, abs=1e-10)
+
+
+def test_hurwitz_zeta_near_roundoff_floor_refuses():
+    # 0.053^-4.94 ~ 2e6, so the float64 roundoff of the sum alone exceeds
+    # 1e-10; the truncation fits, the total bound does not
+    with pytest.raises(AccuracyError):
+        hurwitz_zeta(4.94, 0.053, TruncationPolicy(tol=1e-10))
 
 
 def test_hurwitz_zeta_domain():

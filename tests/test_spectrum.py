@@ -5,6 +5,7 @@ import math
 import pytest
 
 from spherezeta.spectrum import (
+    _spectral_arrays,
     eigenvalue,
     mult_poly_coeffs,
     multiplicity,
@@ -116,3 +117,19 @@ def test_mult_poly_evaluates_to_integer_multiplicities():
                 acc = acc * u + c
             want = multiplicity(k, n)
             assert acc == pytest.approx(want, rel=5e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40, 100])
+@pytest.mark.parametrize("kmax", [1, 7, 300])
+def test_spectral_arrays_exact_length_and_multiplicities(n, kmax):
+    lam, u, d = _spectral_arrays(n, kmax)
+    assert len(lam) == len(u) == len(d) == kmax
+    for k in range(1, kmax + 1):
+        assert lam[k - 1] == k * (k + n - 1)
+        assert u[k - 1] == k + (n - 1) / 2
+        exact = ref_mult(k, n)
+        # the running binomial product rounds at most twice per factor, and
+        # not at all while its partial products stay below 2^53 (n <= 8 here)
+        assert abs(d[k - 1] - exact) <= 2 * n * 2.0**-52 * exact
+        if n <= 8:
+            assert d[k - 1] == exact

@@ -1,16 +1,23 @@
 """Certified-tail machinery: the midpoint estimate must stay honest."""
 
+import math
+
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherezeta.kernels import KernelQuery, heat_trace, zeta_kernel
 from spherezeta.truncation import (
     DEFAULT_POLICY,
+    AccuracyError,
     TruncationError,
     TruncationPolicy,
+    certified_sum,
     power_tail,
     shifted_power_sum,
+    smallest_k,
 )
 from _oracles import ref_hurwitz
 
@@ -96,3 +103,69 @@ def test_shifted_power_sum_domain():
         shifted_power_sum(0.9, 1.0, DEFAULT_POLICY)
     with pytest.raises(ValueError):
         shifted_power_sum(2.0, 0.0, DEFAULT_POLICY)
+
+
+def test_smallest_k_walks_one_ladder():
+    seen = []
+
+    def bound(k):
+        seen.append(k)
+        return 1.0 / k
+
+    assert smallest_k(bound, 1.0 / 40, 5, 1000) == 40
+    assert seen[:4] == [5, 10, 20, 40]
+    seen.clear()
+    # the ladder is capped at max_k, which is tried last
+    assert smallest_k(bound, 1.0 / 90, 8, 90) == 90
+    assert seen == [8, 16, 32, 64, 90]
+    assert smallest_k(bound, 1.0, 50, 20) == 20
+    with pytest.raises(TruncationError):
+        smallest_k(bound, 1e-3, 8, 100)
+
+
+def test_smallest_k_never_accepts_nan_or_inf():
+    with pytest.raises(TruncationError):
+        smallest_k(lambda k: math.nan, 1.0, 8, 64)
+    # an infinite bound (not yet valid) moves the ladder on
+    assert smallest_k(lambda k: math.inf if k < 30 else 0.0, 1.0, 8, 64) == 32
+
+
+def test_certified_sum_checks_the_total_bound():
+    policy = TruncationPolicy(max_k=64, tol=1e-10)
+    ok = certified_sum(lambda k: np.ones(k), lambda k: (0.5, 1e-12), policy, 8,
+                       offset=2.0)
+    assert ok.value == 8.0 + 2.0 + 0.5
+    assert ok.terms_used == 9  # the offset counts as a term
+    assert 1e-12 < ok.tail_bound <= policy.tol
+    # truncation within tol/2 but the roundoff allowance over sum|terms| is not
+    with pytest.raises(AccuracyError):
+        certified_sum(lambda k: np.full(k, 1e6), lambda k: (0.0, 1e-12), policy, 8)
+    # truncation above tol/2 at max_k is a truncation failure
+    with pytest.raises(TruncationError):
+        certified_sum(lambda k: np.ones(k), lambda k: (0.0, 0.6e-10), policy, 8)
+
+
+_CERTIFIED = st.one_of(
+    st.tuples(st.just("shifted_power_sum"), st.floats(1.2, 8.0), st.floats(0.05, 4.0)),
+    st.tuples(st.just("heat_trace"), st.floats(1e-4, 5.0), st.integers(1, 12)),
+    st.tuples(st.just("zeta_kernel"), st.floats(0.05, 3.0), st.integers(1, 12),
+              st.floats(-1.0, 1.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=_CERTIFIED, tol=st.sampled_from([1e-6, 1e-9, 1e-11, 1e-13]))
+def test_returned_bound_never_exceeds_tol(call, tol):
+    policy = TruncationPolicy(max_k=20_000, tol=tol)
+    kind, x, *rest = call
+    try:
+        if kind == "shifted_power_sum":
+            r = shifted_power_sum(x, rest[0], policy)
+        elif kind == "heat_trace":
+            r = heat_trace(x, rest[0], policy)
+        else:
+            n, cg = rest
+            r = zeta_kernel(n / 2.0 + x, KernelQuery(n=n, cos_gamma=cg, policy=policy))
+    except (TruncationError, AccuracyError):
+        return
+    assert r.tail_bound <= tol

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from spherezeta.truncation import TruncationPolicy
@@ -14,6 +15,7 @@ from spherezeta.zeta import (
 )
 from _oracles import (
     ref_hurwitz,
+    ref_mult,
     ref_regularized_zeta,
     ref_riemann,
     ref_spectral_zeta,
@@ -142,3 +144,18 @@ def test_loose_policy_is_still_honest():
         r = spectral_zeta(s, n, loose)
         assert abs(r.value - ref_spectral_zeta(s, n)) <= r.tail_bound
         assert r.tail_bound <= 1e-6
+
+
+def test_spectral_tail_not_yet_contracting_raises_k():
+    # at K = 16 the binomial expansion of the n = 40 tail is not contracting
+    # yet; the bound is infinite there, so the ladder doubles K
+    r = spectral_zeta(20.5, 40)
+    assert r.terms_used == 32
+    assert r.tail_bound <= 1e-10
+    # terms fall like 2/39! k^-2, so the sum past k = 400 is below 3e-49,
+    # far under the returned bound (~9e-47); exact multiplicities
+    with mp.workdps(30):
+        ref = mp.fsum(ref_mult(k, 40) * mp.mpf(k * (k + 39)) ** mp.mpf(-20.5)
+                      for k in range(1, 401))
+    assert abs(r.value - float(ref)) <= r.tail_bound
+    assert regularized_zeta(20.5, 40).terms_used == 16
