@@ -94,8 +94,12 @@ def ref_spectral_zeta(s: float, n: int, jmax: int = 160) -> float:
     """sum_{k>=1} d_k [k(k+n-1)]^(-s) to high precision, for s > n/2.
 
     Expands lambda^(-s) = sum_j C(s+j-1, j) c^j mu^(-s-j) with c = rho^2,
-    so every term is again a shifted sum; the ratio c/mu_1 is at most 9/25,
-    giving geometric convergence.  Stops when terms drop below 10^-DPS.
+    so every term is again a shifted sum; the ratio c/mu_1 = (rho/(1+rho))^2
+    is at most 9/25 for n <= 4 but tends to 1 as n grows.  Stops when a term
+    drops below 10^-DPS of the running total (an absolute threshold would
+    stop at once on values as small as the n = 40 ones); raises
+    ArithmeticError if that has not happened by j = jmax, rather than
+    return an unconverged partial sum.
     """
     if n == 1:
         return ref_regularized_zeta(s, 1)
@@ -109,9 +113,12 @@ def ref_spectral_zeta(s: float, n: int, jmax: int = 160) -> float:
                 coef *= (sv + j - 1) / j
             term = coef * c**j * _reg_zeta_mp(sv + j, n)
             total += term
-            if abs(term) < mp.mpf(10) ** (-DPS):
-                break
-        return float(total)
+            if abs(term) < mp.mpf(10) ** (-DPS) * abs(total):
+                return float(total)
+        raise ArithmeticError(
+            f"j-expansion of the (s, n) = ({s}, {n}) zeta not converged by "
+            f"jmax={jmax}: last term {float(term):.1e}"
+        )
 
 
 def tail_bracket(p: float, a: float, k_next: int) -> tuple[float, float]:

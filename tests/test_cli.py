@@ -371,3 +371,26 @@ def test_every_subcommand_has_a_handler():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--kind", "heat", "--n", "3", "--t", "1e-320", "--cos-gamma", "0.5"],
+    ["heat-trace", "--n", "3", "--t", "1e-320"],
+])
+def test_tiny_time_refuses_at_term_budget(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "term budget" in captured.err
+
+
+def test_mellin_node_cap(capsys, tmp_path):
+    argv = ["mellin-check", "--n", "1", "--s", "1.5", "--cos-gamma", "0.5"]
+    assert cli.main(argv + ["--quad-nodes", "100000"]) == 1
+    assert "nodes per segment" in capsys.readouterr().err
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("nodes_small = 1000000000000\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nodes per segment" in captured.err

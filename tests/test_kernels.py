@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from spherezeta.kernels import (
+    _MAX_QUAD_NODES,
     KernelQuery,
     QuadraturePolicy,
+    _log_upper_gamma,
     circle_heat_oracle,
     heat_kernel,
     heat_trace,
@@ -262,3 +265,35 @@ def test_heat_trace_roundoff_floor_refuses():
     # trace ~1.7e7 at t = 1e-4 on S^4: tol 1e-10 is below its roundoff
     with pytest.raises(AccuracyError):
         heat_trace(1e-4, 4, TruncationPolicy(tol=1e-10))
+
+
+@pytest.mark.parametrize("t", [1e-320, 5e-324])
+@pytest.mark.parametrize("n", [2, 3])
+def test_tiny_time_refuses_at_term_budget(t, n):
+    # (n-1)/(2t) overflows to inf here; the start rung must stay finite so the
+    # ladder refuses at max_k instead of failing to convert inf to an integer
+    with pytest.raises(TruncationError, match="term budget"):
+        heat_kernel(t, q(n, 0.5))
+    with pytest.raises(TruncationError, match="term budget"):
+        heat_trace(t, n)
+
+
+def test_quadrature_node_cap():
+    QuadraturePolicy(nodes_small=_MAX_QUAD_NODES, nodes_large=_MAX_QUAD_NODES)
+    for bad in (_MAX_QUAD_NODES + 1, 10**12):
+        with pytest.raises(ValueError, match="nodes per segment"):
+            QuadraturePolicy(nodes_small=bad)
+        with pytest.raises(ValueError, match="nodes per segment"):
+            QuadraturePolicy(nodes_large=bad)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 1.5, 2.5, 5.0, 10.6, 30.5, 60.0])
+def test_upper_gamma_bound_against_gammaincc(s):
+    # the grid covers x <= s - 1 (capped at Gamma(s)) for s >= 2.5, and
+    # x = lambda_1 t_cutoff up to the 600 the Mellin bridge allows
+    for x in (0.05, 0.3, 1.0, 2.0, 4.5, 10.0, 30.0, 31.0, 60.0, 90.0, 300.0, 600.0):
+        log_exact = math.log(gammaincc(s, x)) + math.lgamma(s)
+        log_bound = _log_upper_gamma(s, x)
+        assert log_bound >= log_exact + math.log1p(-1e-12), (s, x)
+        if x > s:
+            assert log_bound <= log_exact + math.log(3.0), (s, x)

@@ -159,3 +159,13 @@ def test_spectral_tail_not_yet_contracting_raises_k():
                       for k in range(1, 401))
     assert abs(r.value - float(ref)) <= r.tail_bound
     assert regularized_zeta(20.5, 40).terms_used == 16
+
+
+@pytest.mark.parametrize("s,n", [(10.6, 20), (20.5, 40)])
+def test_oracle_refuses_unconverged_expansion(s, n):
+    # the expansion ratio (rho/(1+rho))^2 is 0.82 at n = 20 and 0.90 at
+    # n = 40; by j = 160 the terms are still far above 1e-40 of the total
+    # (at n = 40 the j = 0 term is ~2e-48, where an absolute 1e-40 cutoff
+    # used to stop and return it against the true 5.9e-32)
+    with pytest.raises(ArithmeticError, match="not converged"):
+        ref_spectral_zeta(s, n)
