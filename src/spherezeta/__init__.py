@@ -14,8 +14,6 @@ from .specfun import (
     gegenbauer_ratio_series,
     hurwitz_via_binomial,
     hurwitz_zeta,
-    legendre_ode_residual,
-    legendre_rodrigues_oracle,
     riemann_zeta,
 )
 from .spectrum import (
@@ -84,7 +82,7 @@ __all__ = [
     "AccuracyError", "DEFAULT_POLICY", "EvalResult", "TruncationError",
     "TruncationPolicy", "gamma_fn", "gegenbauer_ratio",
     "gegenbauer_ratio_series", "hurwitz_via_binomial", "hurwitz_zeta",
-    "legendre_ode_residual", "legendre_rodrigues_oracle", "riemann_zeta",
+    "riemann_zeta",
     "SphereSpec", "SpectrumEntry", "eigenvalue", "multiplicity",
     "multiplicity_product_form", "shifted_eigenvalue", "sphere_spec",
     "spectrum_slice", "ZetaPair", "closed_form_Z", "compare_zeta_pair",

@@ -25,7 +25,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import kato, kernels, majorize, spectrum, specfun, zeta
-from .truncation import AccuracyError, TruncationError, TruncationPolicy
+from .truncation import AccuracyError, EvalResult, TruncationError, TruncationPolicy
 
 
 class UsageError(Exception):
@@ -257,6 +257,18 @@ def _policy(args, default_tol=1e-10, default_max_k=200_000) -> TruncationPolicy:
     )
 
 
+def _values(args, name: str) -> list[float]:
+    one, grid = getattr(args, name), getattr(args, f"{name}_grid")
+    if (one is None) == (grid is None):
+        raise UsageError(f"{args.command} needs exactly one of --{name} or --{name}-grid")
+    return [one] if one is not None else _parse_grid(grid)
+
+
+def _record(command: str, r: EvalResult, **fields) -> dict:
+    return {"command": command, **fields, "value": r.value,
+            "tail_bound": r.tail_bound, "terms_used": r.terms_used}
+
+
 def _cmd_spectrum(args):
     rows = spectrum.spectrum_slice(args.n, args.kmax)
     recs = [
@@ -268,59 +280,40 @@ def _cmd_spectrum(args):
 
 
 def _cmd_zeta(args):
-    if (args.s is None) == (args.s_grid is None):
-        raise UsageError("zeta needs exactly one of --s or --s-grid")
-    svals = [args.s] if args.s is not None else _parse_grid(args.s_grid)
     pol = _policy(args)
     recs = []
-    for s in svals:
+    for s in _values(args, "s"):
         if args.form == "series":
             r = zeta.regularized_zeta(s, args.n, pol)
-            value, bound, used = r.value, r.tail_bound, r.terms_used
         elif args.form == "closed":
-            value, bound, used = zeta._closed_form_terms(s, args.n)
+            r = zeta._closed_form_terms(s, args.n)
         else:
             c = (args.n - 1) / 2.0
             if c <= 0.0:
                 raise ValueError("hurwitz form needs n >= 2 (positive shift)")
             r = zeta.hurwitz_style_Z(s, c, pol)
-            value, bound, used = r.value, r.tail_bound, r.terms_used
-        recs.append({"command": "zeta", "form": args.form, "n": args.n,
-                     "s": s, "value": value, "tail_bound": bound,
-                     "terms_used": used})
+        recs.append(_record("zeta", r, form=args.form, n=args.n, s=s))
     return recs, True
 
 
 def _cmd_kernel(args):
     pol = _policy(args, default_tol=1e-8)
     q = kernels.KernelQuery(n=args.n, cos_gamma=args.cos_gamma, policy=pol)
-    if args.kind == "heat":
-        if args.t is None:
-            raise UsageError("heat kernel needs --t")
-        r = kernels.heat_kernel(args.t, q)
-        key, param = "t", args.t
-    else:
-        if args.s is None:
-            raise UsageError("zeta kernel needs --s")
-        r = kernels.zeta_kernel(args.s, q)
-        key, param = "s", args.s
-    rec = {"command": "kernel", "kind": args.kind, "n": args.n,
-           key: param, "cos_gamma": args.cos_gamma, "value": r.value,
-           "tail_bound": r.tail_bound, "terms_used": r.terms_used}
-    return [rec], True
+    key = "t" if args.kind == "heat" else "s"
+    param = getattr(args, key)
+    if param is None:
+        raise UsageError(f"{args.kind} kernel needs --{key}")
+    r = (kernels.heat_kernel if args.kind == "heat" else kernels.zeta_kernel)(param, q)
+    return [_record("kernel", r, kind=args.kind, n=args.n, **{key: param},
+                    cos_gamma=args.cos_gamma)], True
 
 
 def _cmd_heat_trace(args):
-    if (args.t is None) == (args.t_grid is None):
-        raise UsageError("heat-trace needs exactly one of --t or --t-grid")
-    tvals = [args.t] if args.t is not None else _parse_grid(args.t_grid)
     pol = _policy(args)
     recs = []
-    for t in tvals:
+    for t in _values(args, "t"):
         r = kernels.heat_trace(t, args.n, pol)
-        recs.append({"command": "heat-trace", "n": args.n, "t": t,
-                     "value": r.value, "tail_bound": r.tail_bound,
-                     "terms_used": r.terms_used})
+        recs.append(_record("heat-trace", r, n=args.n, t=t))
     return recs, True
 
 
@@ -392,22 +385,21 @@ def _cmd_kato(args):
     rec = {"command": "kato", "check": args.check, "graph": args.graph,
            "seed": args.seed, "t": args.t}
     if args.check in ("pointwise", "pairing", "positivity"):
-        # trials are checked as blocks of columns, drawn state by state so
-        # the result does not depend on the block width, which caps memory
+        # trials are checked as blocks of columns, each column drawn as by
+        # kato.random_state (then |N(0, 1)| for the pairing's phi), so the
+        # result does not depend on the block width, which caps memory
         worst, ok = math.inf, True
         width = max(1, _KATO_BLOCK_ENTRIES // op.dim)
         for start in range(0, args.trials, width):
             cols = min(width, args.trials - start)
-            psi = np.empty((op.dim, cols), dtype=complex)
-            phi = np.empty((op.dim, cols))
-            for j in range(cols):
-                psi[:, j] = kato.random_state(op.dim, rng)
-                if args.check == "pairing":
-                    phi[:, j] = np.abs(rng.standard_normal(op.dim))
+            z = rng.standard_normal((cols, 3 if args.check == "pairing" else 2, op.dim))
+            # C order: a transposed view changes the product's summation order
+            psi = np.ascontiguousarray((z[:, 0] + 1j * z[:, 1]).T)
             if args.check == "pointwise":
                 rep = kato.kato_pointwise_check(op, psi, tol)
                 slack = rep.min_slack
             elif args.check == "pairing":
+                phi = np.ascontiguousarray(np.abs(z[:, 2]).T)
                 rep = kato.generator_pairing_check(op, psi, phi, tol)
                 slack = float(np.min(rep.slack))
             else:
@@ -446,20 +438,17 @@ def _cmd_specfun(args):
     if args.fn == "zeta":
         if args.s is None:
             raise UsageError("specfun zeta needs --s")
-        r = specfun.riemann_zeta(args.s, pol)
-        rec = {"command": "specfun", "fn": "zeta", "s": args.s,
-               "value": r.value, "tail_bound": r.tail_bound,
-               "terms_used": r.terms_used}
+        rec = _record("specfun", specfun.riemann_zeta(args.s, pol), fn="zeta", s=args.s)
     elif args.fn == "hurwitz":
         if args.s is None or args.a is None:
             raise UsageError("specfun hurwitz needs --s and --a")
         r = specfun.hurwitz_zeta(args.s, args.a, pol)
-        rec = {"command": "specfun", "fn": "hurwitz", "s": args.s,
-               "a": args.a, "value": r.value, "tail_bound": r.tail_bound,
-               "terms_used": r.terms_used}
+        rec = _record("specfun", r, fn="hurwitz", s=args.s, a=args.a)
     else:
         if args.k is None or args.n is None or args.t is None:
             raise UsageError("specfun gegenbauer needs --k, --n and --t")
+        if args.k > pol.max_k:
+            raise UsageError(f"--k {args.k} exceeds the term budget --max-k {pol.max_k}")
         val = specfun.gegenbauer_ratio(args.k, args.n, args.t)
         rec = {"command": "specfun", "fn": "gegenbauer", "k": args.k,
                "n": args.n, "t": args.t, "value": val, "tail_bound": 0.0}

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import gamma_fn, gegenbauer_ratio_series
+from .specfun import gegenbauer_ratio_series
 from .spectrum import _spectral_arrays, sphere_spec
 from .truncation import (
     DEFAULT_POLICY,
@@ -226,39 +226,43 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
     if n * quad.t_cutoff > 600.0:
         raise ValueError("t_cutoff too large for stable spectral-gap bound")
     tol = q.policy.tol
-    gam_s = gamma_fn(s)
+    # every budget and weight below is divided by Gamma(s), carried as its
+    # log so that no intermediate overflows however large s is
+    lg_s = math.lgamma(s)
 
     # head: |K_t - 1/V| <= (2^n/V)(e^{-t} + Gamma(n/2) t^{-n/2} / 2)
-    half_gam = gamma_fn(n / 2.0) / 2.0
+    lg_half = math.lgamma(n / 2.0) - math.log(2.0)
 
-    def head_bound(tau: float) -> float:
-        return (2.0**n / vol) * (tau**s / s
-                                 + half_gam * tau ** (s - n / 2.0) / (s - n / 2.0))
+    def head_bound(log_tau: float) -> float:
+        return (2.0**n / vol) * (math.exp(s * log_tau - lg_s) / s
+                                 + math.exp((s - n / 2.0) * log_tau + lg_half - lg_s)
+                                 / (s - n / 2.0))
 
-    target = 0.25 * tol * gam_s
+    target = 0.25 * tol
     lo, hi = -300.0, math.log(quad.split_point)
-    if head_bound(math.exp(lo)) > target:
+    if head_bound(lo) > target:
         raise AccuracyError("head budget unreachable at any positive cutoff")
-    if head_bound(math.exp(hi)) <= target:
+    if head_bound(hi) <= target:
         lo = hi  # whole small-t segment already inside budget
     else:
         # head_bound is increasing in tau: keep lo feasible, hi infeasible
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if head_bound(math.exp(mid)) > target:
+            if head_bound(mid) > target:
                 hi = mid
             else:
                 lo = mid
     t_min = math.exp(lo)
-    head = head_bound(t_min)
+    head = head_bound(lo)
 
     # far tail via the spectral gap lambda_1 = n
     excited = _excited_sum(n, quad.t_cutoff)
     far = (excited / vol) * math.exp(
-        _log_upper_gamma(s, n * quad.t_cutoff) - s * math.log(n))
+        _log_upper_gamma(s, n * quad.t_cutoff) - s * math.log(n) - lg_s)
 
-    # per-node series accuracy target
-    node_tol = 0.25 * tol * gam_s * s / quad.t_cutoff**s
+    # per-node series accuracy target, so that the node errors add up to at
+    # most tol/4; capping the exponent below overflow only lowers it
+    node_tol = 0.25 * tol * s * math.exp(min(lg_s - s * math.log(quad.t_cutoff), 700.0))
 
     k_cap = smallest_k(lambda k: _heat_tail_bound(n, t_min, k) / vol, node_tol,
                        _heat_k_min(n, t_min), q.policy.max_k)
@@ -281,13 +285,13 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
     t_lin, w_lin = _gl_nodes(quad.split_point, quad.t_cutoff,
                              max(2, quad.nodes_large // 16))
     ts = np.concatenate([np.exp(u), t_lin])
-    jac = np.concatenate([w_log * np.exp(s * u), w_lin * t_lin ** (s - 1.0)])
+    jac = np.concatenate([w_log * np.exp(s * u - lg_s),
+                          w_lin * np.exp((s - 1.0) * np.log(t_lin) - lg_s)])
     f, berr = np.array([series_node(t) for t in ts.tolist()]).T
     total = jac @ f
     node_err = np.abs(jac) @ berr
 
-    err = float((head + far + node_err) / gam_s)
+    err = float(head + far + node_err)
     if err > tol:
         raise AccuracyError(f"certified error {err:.3e} exceeds budget {tol:.3e}")
-    return EvalResult(value=float(total / gam_s), terms_used=len(ts),
-                      tail_bound=err)
+    return EvalResult(value=float(total), terms_used=len(ts), tail_bound=err)

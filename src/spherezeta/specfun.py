@@ -3,10 +3,10 @@
 Gamma delegates to the platform libm.  The Riemann and Hurwitz zeta
 evaluators are direct summations closed with a midpoint-integral tail
 correction (see ``truncation``), so their certificates hold down to the
-1e-12 range at a few hundred terms.  ``hurwitz_via_binomial`` is the
-independent route used by the shifted sphere zetas: it rebuilds
-zeta_H(2s, rho) for rho < 1 from Riemann zeta values through the binomial
-series
+1e-12 range at a few hundred terms.  ``hurwitz_via_binomial`` is an
+independent route to the same values, kept as a cross-check of
+``hurwitz_zeta``: it rebuilds zeta_H(2s, rho) for rho < 1 from Riemann
+zeta values through the binomial series
 
     zeta_H(2s, rho) = rho^(-2s)
         + sum_{m >= 0} (-1)^m Gamma(2s+m)/(m! Gamma(2s)) rho^m zeta_R(2s+m),
@@ -15,9 +15,7 @@ truncated with an alternating-series remainder bound.
 
 Gegenbauer ratios r_k = C_k^{alpha}(t) / C_k^{alpha}(1) with alpha =
 (n-1)/2 are generated by a three-term recurrence that is uniform in n >= 2;
-the n = 1 boundary case is the Chebyshev limit cos(k arccos t).  A slow
-exact Rodrigues evaluator for Legendre polynomials (n = 2, degree <= 8) is
-exposed for cross-checking.
+the n = 1 boundary case is the Chebyshev limit cos(k arccos t).
 """
 
 from __future__ import annotations
@@ -106,32 +104,17 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
 
 
 def gegenbauer_ratio(k: int, n: int, t: float) -> float:
-    """r_k = C_k^{(n-1)/2}(t) / C_k^{(n-1)/2}(1), the zonal profile on S^n.
-
-    Satisfies r_0 = 1, r_1 = t and, for n >= 2,
-
-        (k + n - 2) r_k = (2k + n - 3) t r_{k-1} - (k - 1) r_{k-2};
-
-    n = 1 degenerates to cos(k arccos t).  |r_k| <= 1 throughout [-1, 1].
-    """
+    """r_k = C_k^{(n-1)/2}(t) / C_k^{(n-1)/2}(1), the zonal profile on S^n;
+    |r_k| <= 1 throughout [-1, 1]."""
     if k < 0:
         raise ValueError("degree k must be nonnegative")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not (-1.0 <= t <= 1.0):
-        raise ValueError("argument t must lie in [-1, 1]")
-    if n == 1:
-        return math.cos(k * math.acos(t))
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, t
-    for j in range(2, k + 1):
-        prev, cur = cur, ((2 * j + n - 3) * t * cur - (j - 1) * prev) / (j + n - 2)
-    return cur
+    return float(gegenbauer_ratio_series(n, t, k)[k])
 
 
 def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
-    """Array [r_0, ..., r_kmax] of normalized Gegenbauer values at t."""
+    """Array [r_0, ..., r_kmax] of normalized Gegenbauer values at t: r_0 = 1,
+    r_1 = t and (k + n - 2) r_k = (2k + n - 3) t r_{k-1} - (k - 1) r_{k-2}
+    for n >= 2; n = 1 degenerates to cos(k arccos t)."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if n < 1:
@@ -150,55 +133,3 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
         prev, cur = cur, ((2 * j + n - 3) * t * cur - (j - 1) * prev) / (j + n - 2)
         r[j] = cur
     return r
-
-
-def _legendre_coeffs(m: int) -> list:
-    # exact integer-pair coefficients: P_m = (1/(2^m m!)) d^m/dx^m (x^2-1)^m
-    # returns rational coefficients as Fractions of the expanded polynomial
-    from fractions import Fraction
-
-    # (x^2 - 1)^m expanded: coefficient of x^(2j) is C(m, j) (-1)^(m-j)
-    deg = 2 * m
-    poly = [0] * (deg + 1)
-    for j in range(m + 1):
-        poly[2 * j] = math.comb(m, j) * (-1) ** (m - j)
-    # differentiate m times
-    for _ in range(m):
-        poly = [i * poly[i] for i in range(1, len(poly))]
-        if not poly:
-            poly = [0]
-    scale = Fraction(1, 2**m * math.factorial(m))
-    return [Fraction(c) * scale for c in poly]
-
-
-def legendre_rodrigues_oracle(m: int, x: float) -> float:
-    """Legendre P_m(x) from the Rodrigues formula, exact expansion.
-
-    Deliberately slow and independent of the recurrences above; supported
-    only for m <= 8 where the integer arithmetic is immediate.
-    """
-    if not (0 <= m <= 8):
-        raise ValueError("rodrigues oracle supports degrees 0..8 only")
-    coeffs = _legendre_coeffs(m)
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + float(c)
-    return acc
-
-
-def legendre_ode_residual(m: int, x: float) -> float:
-    """Residual (1-x^2) P'' - 2x P' + m(m+1) P at x, from the exact expansion."""
-    if not (0 <= m <= 8):
-        raise ValueError("rodrigues oracle supports degrees 0..8 only")
-    coeffs = _legendre_coeffs(m)
-
-    def horner(cs):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + float(c)
-        return acc
-
-    d1 = [i * c for i, c in enumerate(coeffs)][1:] or [0]
-    d2 = [i * c for i, c in enumerate(d1)][1:] or [0]
-    p, dp, ddp = horner(coeffs), horner(d1), horner(d2)
-    return (1.0 - x * x) * ddp - 2.0 * x * dp + m * (m + 1) * p

@@ -64,26 +64,34 @@ def _pow(base: float, expo: float) -> float:
     return math.exp(expo * math.log(base))
 
 
+def _poly_tail(n: int, k_last: int, powers) -> tuple[float, float, float]:
+    """Tails over k > k_last of sum_(w, p) w d_k (k+rho)^(-p), closed monomial
+    by monomial of d_k = sum_m a_m u^m, u = k + rho: the estimate, its error
+    bound, and sum w |a_m| (estimate + bound), a bound on the sum itself."""
+    rho = (n - 1) / 2.0
+    coeffs = mult_poly_coeffs(n)
+    est = bound = size = 0.0
+    for w, p in powers:
+        for m, a_m in enumerate(coeffs):
+            if a_m == 0.0:
+                continue
+            e, b = power_tail(p - m, rho, k_last + 1)
+            est += w * a_m * e
+            w_abs = w * abs(a_m)
+            bound += w_abs * b
+            size += w_abs * (e + b)
+    return est, bound, size
+
+
 def _regularized_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
     """Estimate and bound for sum_{k > k_last} d_k (k+rho)^(-2s)."""
-    rho = (n - 1) / 2.0
-    est = 0.0
-    bound = 0.0
-    for m, a_m in enumerate(mult_poly_coeffs(n)):
-        if a_m == 0.0:
-            continue
-        e, b = power_tail(2.0 * s - m, rho, k_last + 1)
-        est += a_m * e
-        bound += abs(a_m) * b
-    return est, bound
+    return _poly_tail(n, k_last, [(1.0, 2.0 * s)])[:2]
 
 
 def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
     """Estimate and bound for sum_{k > k_last} d_k lambda_k^(-s)."""
     rho = (n - 1) / 2.0
-    coeffs = mult_poly_coeffs(n)
-    est = 0.0
-    bound = 0.0
+    powers = []
     g = 1.0
     for j in range(_JMAX + 1):
         if j > 0:
@@ -91,26 +99,16 @@ def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
         w = g * rho ** (2 * j)
         if w == 0.0:
             break
-        for m, a_m in enumerate(coeffs):
-            if a_m == 0.0:
-                continue
-            e, b = power_tail(2.0 * s + 2 * j - m, rho, k_last + 1)
-            est += w * a_m * e
-            bound += w * abs(a_m) * b
+        powers.append((w, 2.0 * s + 2 * j))
+    est, bound, _ = _poly_tail(n, k_last, powers)
     if rho > 0.0:
         # remainder of the j-expansion: next term over a geometric ratio
-        g_next = g * (s + _JMAX) / (_JMAX + 1.0)
-        w_next = g_next * rho ** (2 * (_JMAX + 1))
-        rem = 0.0
-        for m, a_m in enumerate(coeffs):
-            if a_m == 0.0:
-                continue
-            e, b = power_tail(2.0 * s + 2 * (_JMAX + 1) - m, rho, k_last + 1)
-            rem += abs(a_m) * (e + b)
         z = k_last + 0.5 + rho
         ratio = rho * rho * (s + _JMAX + 1.0) / ((_JMAX + 2.0) * z * z)
         if ratio >= 1.0:
             return est, math.inf  # not contracting yet: the K ladder moves on
+        w_next = g * (s + _JMAX) / (_JMAX + 1.0) * rho ** (2 * (_JMAX + 1))
+        rem = _poly_tail(n, k_last, [(1.0, 2.0 * s + 2 * (_JMAX + 1))])[2]
         bound += w_next * rem / (1.0 - ratio)
     return est, bound
 
@@ -159,23 +157,23 @@ def hurwitz_style_Z(s: float, c: float,
     return shifted_power_sum(2.0 * s, c, policy)
 
 
-def _closed_form_terms(s: float, n: int):
-    """(value, certified bound, zeta terms used) for the n <= 4 reductions."""
+def _closed_form_terms(s: float, n: int) -> EvalResult:
+    """Certified n <= 4 reduction; terms_used counts the zeta terms summed."""
     if n not in (1, 2, 3, 4):
         raise ValueError("closed forms implemented for n in {1, 2, 3, 4}")
     if not (s > n / 2.0):
         raise ValueError("need s > n/2")
     if n == 1:
         z = shifted_power_sum(2.0 * s, 1.0, _TIGHT)
-        return 2.0 * z.value, 2.0 * z.tail_bound, z.terms_used
+        return EvalResult(2.0 * z.value, z.terms_used, 2.0 * z.tail_bound)
     if n == 2:
         z = shifted_power_sum(2.0 * s - 1.0, 1.0, _TIGHT)
         c1 = _pow(2.0, 2.0 * s) - 2.0
-        return c1 * z.value - _pow(4.0, s), c1 * z.tail_bound, z.terms_used
+        return EvalResult(c1 * z.value - _pow(4.0, s), z.terms_used, c1 * z.tail_bound)
     if n == 3:
         # sum (k+1)^(2-2s) over k >= 1: Riemann zeta minus the k=0 term
         z = shifted_power_sum(2.0 * s - 2.0, 1.0, _TIGHT)
-        return z.value - 1.0, z.tail_bound, z.terms_used
+        return EvalResult(z.value - 1.0, z.terms_used, z.tail_bound)
     za = shifted_power_sum(2.0 * s - 3.0, 1.0, _TIGHT)
     zb = shifted_power_sum(2.0 * s - 1.0, 1.0, _TIGHT)
     pw = _pow(2.0, 2.0 * s - 3.0)
@@ -186,13 +184,12 @@ def _closed_form_terms(s: float, n: int):
         + _pow(2.0 / 3.0, 2.0 * s) / 8.0
     )
     bound = abs(pw - 1.0) / 3.0 * za.tail_bound + abs(pw - 0.25) / 3.0 * zb.tail_bound
-    return value, bound, za.terms_used + zb.terms_used
+    return EvalResult(value, za.terms_used + zb.terms_used, bound)
 
 
 def closed_form_Z(s: float, n: int) -> float:
     """Elementary reduction of Z_{S^n}(s) to Riemann zeta values, n <= 4."""
-    value, _, _ = _closed_form_terms(s, n)
-    return value
+    return _closed_form_terms(s, n).value
 
 
 def compare_zeta_pair(s: float, n: int, kmax: int,
@@ -202,10 +199,13 @@ def compare_zeta_pair(s: float, n: int, kmax: int,
     Since (k+rho)^2 = lambda_k + rho^2 >= lambda_k, each shifted term is at
     most the matching unshifted term; the report checks all partial sums of
     the first kmax terms (natural order) and the certified full sums.  For
-    n = 1 the two series coincide exactly.
+    n = 1 the two series coincide exactly.  kmax may not exceed the term
+    budget policy.max_k.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if kmax > policy.max_k:
+        raise ValueError(f"kmax={kmax} exceeds the term budget max_k={policy.max_k}")
     zl = spectral_zeta(s, n, policy)
     zs = regularized_zeta(s, n, policy)
     lam, u, d = _spectral_arrays(n, kmax)

@@ -2,10 +2,11 @@
 
 Everything here is recomputed from scratch, on purpose: mpmath for the
 classical zeta and theta functions, exact integer binomials for sphere
-multiplicities, and a rational expansion of the multiplicity in the shifted
+multiplicities, a rational expansion of the multiplicity in the shifted
 variable u = k + (n-1)/2 that turns both sphere zetas into short
-combinations of Hurwitz values at 40-digit working precision.  None of it
-shares a code path with the library.
+combinations of Hurwitz values at 40-digit working precision, and exact
+Rodrigues-formula Legendre polynomials.  None of it shares a code path
+with the library.
 """
 
 from __future__ import annotations
@@ -119,6 +120,57 @@ def ref_spectral_zeta(s: float, n: int, jmax: int = 160) -> float:
             f"j-expansion of the (s, n) = ({s}, {n}) zeta not converged by "
             f"jmax={jmax}: last term {float(term):.1e}"
         )
+
+
+def _legendre_coeffs(m: int) -> list[Fraction]:
+    # P_m = (1/(2^m m!)) d^m/dx^m (x^2-1)^m, expanded with exact rational
+    # coefficients, low degree first
+    # (x^2 - 1)^m expanded: coefficient of x^(2j) is C(m, j) (-1)^(m-j)
+    deg = 2 * m
+    poly = [0] * (deg + 1)
+    for j in range(m + 1):
+        poly[2 * j] = math.comb(m, j) * (-1) ** (m - j)
+    # differentiate m times
+    for _ in range(m):
+        poly = [i * poly[i] for i in range(1, len(poly))]
+        if not poly:
+            poly = [0]
+    scale = Fraction(1, 2**m * math.factorial(m))
+    return [Fraction(c) * scale for c in poly]
+
+
+def legendre_rodrigues_oracle(m: int, x: float) -> float:
+    """Legendre P_m(x) from the Rodrigues formula, exact expansion.
+
+    Deliberately slow and independent of the library's Gegenbauer
+    recurrence; supported only for m <= 8 where the integer arithmetic is
+    immediate.
+    """
+    if not (0 <= m <= 8):
+        raise ValueError("rodrigues oracle supports degrees 0..8 only")
+    coeffs = _legendre_coeffs(m)
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def legendre_ode_residual(m: int, x: float) -> float:
+    """Residual (1-x^2) P'' - 2x P' + m(m+1) P at x, from the exact expansion."""
+    if not (0 <= m <= 8):
+        raise ValueError("rodrigues oracle supports degrees 0..8 only")
+    coeffs = _legendre_coeffs(m)
+
+    def horner(cs):
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * x + float(c)
+        return acc
+
+    d1 = [i * c for i, c in enumerate(coeffs)][1:] or [0]
+    d2 = [i * c for i, c in enumerate(d1)][1:] or [0]
+    p, dp, ddp = horner(coeffs), horner(d1), horner(d2)
+    return (1.0 - x * x) * ddp - 2.0 * x * dp + m * (m + 1) * p
 
 
 def tail_bracket(p: float, a: float, k_next: int) -> tuple[float, float]:

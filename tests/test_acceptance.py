@@ -39,8 +39,6 @@ from spherezeta.specfun import (
     gegenbauer_ratio,
     hurwitz_via_binomial,
     hurwitz_zeta,
-    legendre_ode_residual,
-    legendre_rodrigues_oracle,
     riemann_zeta,
 )
 from spherezeta.spectrum import (
@@ -51,7 +49,12 @@ from spherezeta.spectrum import (
 )
 from spherezeta.truncation import AccuracyError, TruncationPolicy
 from spherezeta.zeta import closed_form_Z, compare_zeta_pair, regularized_zeta, spectral_zeta
-from _oracles import ref_hurwitz, ref_riemann
+from _oracles import (
+    legendre_ode_residual,
+    legendre_rodrigues_oracle,
+    ref_hurwitz,
+    ref_riemann,
+)
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-12)
 

@@ -1,6 +1,7 @@
 """Command-line interface: records, formats, exit codes, config handling."""
 
 import argparse
+import io
 import json
 import math
 import subprocess
@@ -394,3 +395,62 @@ def test_mellin_node_cap(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nodes per segment" in captured.err
+
+
+@pytest.mark.parametrize("s", ["172", "200"])
+def test_mellin_large_s_refuses_cleanly(capsys, s):
+    code = cli.main(["mellin-check", "--n", "1", "--s", s, "--cos-gamma", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "exceeds budget" in captured.err
+    assert "range error" not in captured.err
+    code, out = run(capsys, ["mellin-check", "--n", "2", "--s", s, "--cos-gamma", "0.5"])
+    assert code == 0
+    assert records(out)[0]["verdict"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dominate", "--n", "2", "--s", "2", "--kmax", "100000000"], "term budget"),
+    (["dominate", "--n", "2", "--s", "2", "--kmax", "65", "--max-k", "64"], "term budget"),
+    (["specfun", "gegenbauer", "--k", "100000000", "--n", "3", "--t", "0.5"], "--max-k"),
+    (["specfun", "gegenbauer", "--k", "11", "--n", "3", "--t", "0.5", "--max-k", "10"],
+     "--max-k"),
+])
+def test_term_budget_caps_inputs(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("graph, trials, seed", [("cycle:24", 13, 3), ("complete:64", 20, 1)])
+@pytest.mark.parametrize("check", ["pointwise", "pairing"])
+def test_kato_block_draw_matches_random_state(capsys, check, graph, trials, seed):
+    # states drawn column by column with kato.random_state, as one C-ordered
+    # block; pointwise on complete:64 with seed 1 moves in the last digit
+    # when the block is a transposed view instead
+    import numpy as np
+
+    from spherezeta import kato
+
+    op = cli._parse_graph(graph)
+    rng = np.random.default_rng(seed)
+    psi = np.empty((op.dim, trials), dtype=complex)
+    phi = np.empty((op.dim, trials))
+    for j in range(trials):
+        psi[:, j] = kato.random_state(op.dim, rng)
+        if check == "pairing":
+            phi[:, j] = np.abs(rng.standard_normal(op.dim))
+    if check == "pointwise":
+        rep = kato.kato_pointwise_check(op, psi, 1e-12)
+        slack = rep.min_slack
+    else:
+        rep = kato.generator_pairing_check(op, psi, phi, 1e-12)
+        slack = float(np.min(rep.slack))
+    want = io.StringIO()
+    cli._emit([{"command": "kato", "check": check, "graph": graph, "seed": seed,
+                "t": 1.0, "trials": trials, "min_slack": slack, "tol": 1e-12,
+                "verdict": rep.ok}], "json", want)
+    code, out = run(capsys, ["kato", check, "--graph", graph,
+                             "--trials", str(trials), "--seed", str(seed)])
+    assert (code, out) == (0, want.getvalue())

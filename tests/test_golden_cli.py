@@ -1,0 +1,68 @@
+"""Golden CLI outputs: one command per subcommand, stdout pinned byte for byte.
+
+``golden_cli.txt`` holds blocks of a ``$ spherezeta ...`` line followed by
+the exact stdout of that command.  A change that moves any of these
+outputs, even in the last digit, has to regenerate the file and say why:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import pathlib
+import shlex
+import sys
+
+import pytest
+
+from spherezeta import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.txt")
+
+# the README examples, with a cycle graph in place of the file graph
+COMMANDS = [
+    "spectrum --n 3 --kmax 10",
+    "zeta --n 2 --s 2.0 --form closed",
+    "zeta --n 2 --s-grid 1.5:3.5:0.5",
+    "kernel --n 2 --kind heat --t 0.25 --cos-gamma 0.5",
+    "heat-trace --n 3 --t-grid 0.5:4.0:0.5",
+    "mellin-check --n 2 --s 2.25 --cos-gamma 0.3",
+    "dominate --n 3 --s 2.0 --kmax 400",
+    "majorize --x 3,1 --y 2,2",
+    "kato pointwise --graph cycle:12 --trials 50 --seed 7",
+    "kato duhamel --graph cycle:12 --steps 256",
+    "specfun gegenbauer --k 3 --n 2 --t 0.5",
+]
+
+
+def _stdout(command: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(shlex.split(command))
+    return code, buf.getvalue()
+
+
+def _golden() -> dict[str, str]:
+    blocks = {}
+    for block in GOLDEN.read_text().split("$ spherezeta ")[1:]:
+        command, _, out = block.partition("\n")
+        blocks[command] = out
+    return blocks
+
+
+def test_golden_file_lists_every_command():
+    assert list(_golden()) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_golden_stdout(command):
+    assert _stdout(command) == (0, _golden()[command])
+
+
+if __name__ == "__main__":
+    with GOLDEN.open("w") as fh:
+        for command in COMMANDS:
+            code, out = _stdout(command)
+            if code != 0:
+                sys.exit(f"{command!r} exited {code}")
+            fh.write(f"$ spherezeta {command}\n{out}")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaincc
@@ -10,6 +11,8 @@ from spherezeta.kernels import (
     _MAX_QUAD_NODES,
     KernelQuery,
     QuadraturePolicy,
+    _heat_k_min,
+    _heat_tail_bound,
     _log_upper_gamma,
     circle_heat_oracle,
     heat_kernel,
@@ -297,3 +300,40 @@ def test_upper_gamma_bound_against_gammaincc(s):
         assert log_bound >= log_exact + math.log1p(-1e-12), (s, x)
         if x > s:
             assert log_bound <= log_exact + math.log(3.0), (s, x)
+
+
+@pytest.mark.parametrize("s", [172.0, 200.0])
+def test_mellin_large_s_certifies_or_refuses(s):
+    # Gamma(s) overflows float64 past s = 171.6; the bridge carries its log.
+    # On S^1 the lambda_1 = 1 mode keeps most of its mass beyond t_cutoff,
+    # so the far tail alone exceeds tol; for n >= 2 it falls like n^-s.
+    with pytest.raises(AccuracyError, match="exceeds budget"):
+        mellin_zeta_kernel(s, KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY))
+    for n in (2, 3):
+        qq = KernelQuery(n=n, cos_gamma=0.5, policy=MELLIN_POLICY)
+        bridged, direct = mellin_zeta_kernel(s, qq), zeta_kernel(s, qq)
+        assert bridged.tail_bound <= MELLIN_POLICY.tol
+        assert abs(bridged.value - direct.value) <= bridged.tail_bound + direct.tail_bound
+
+
+def _exact_heat_tail(n, t, k_last):
+    # sum_{k > k_last} d_k e^{-lambda_k t} with exact multiplicities; the
+    # summand decreases from k_last + 1 on, so stop once it is negligible
+    with mp.workdps(30):
+        tt, acc, k = mp.mpf(t), mp.mpf(0), k_last + 1
+        while True:
+            term = ref_mult(k, n) * mp.exp(-k * (k + n - 1) * tt)
+            acc += term
+            if term < acc * mp.mpf(10) ** -25:
+                return float(acc)
+            k += 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
+def test_heat_tail_bound_dominates_exact_tail(n):
+    # compared after rounding the exact tail to float64: below about 1e-308
+    # the bound underflows to 0.0 along with the rounded tail
+    for t in (1e-4, 1e-3, 0.01, 0.1, 1.0, 5.0):
+        k_min = _heat_k_min(n, t)
+        for k_last in (k_min, 2 * k_min, 4 * k_min):
+            assert _heat_tail_bound(n, t, k_last) >= _exact_heat_tail(n, t, k_last), (t, k_last)

@@ -14,12 +14,15 @@ from spherezeta.specfun import (
     gegenbauer_ratio_series,
     hurwitz_via_binomial,
     hurwitz_zeta,
-    legendre_ode_residual,
-    legendre_rodrigues_oracle,
     riemann_zeta,
 )
 from spherezeta.truncation import AccuracyError, TruncationError, TruncationPolicy
-from _oracles import ref_hurwitz, ref_riemann
+from _oracles import (
+    legendre_ode_residual,
+    legendre_rodrigues_oracle,
+    ref_hurwitz,
+    ref_riemann,
+)
 
 GRID21 = np.linspace(-1.0, 1.0, 21)
 
@@ -163,10 +166,17 @@ def test_gegenbauer_circle_is_chebyshev():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_gegenbauer_series_consistent_with_scalar(n):
+    # gegenbauer_ratio reads this series, so both are held to scipy
+    alpha = (n - 1) / 2.0
     for t in (-0.8, -0.3, 0.0, 0.4, 0.99):
         series = gegenbauer_ratio_series(n, t, 60)
         for k in (0, 1, 2, 7, 33, 60):
-            assert series[k] == pytest.approx(gegenbauer_ratio(k, n, t), abs=1e-14)
+            if n == 1:
+                want = eval_chebyt(k, t)
+            else:
+                want = eval_gegenbauer(k, alpha, t) / eval_gegenbauer(k, alpha, 1.0)
+            assert series[k] == pytest.approx(want, abs=1e-12)
+            assert gegenbauer_ratio(k, n, t) == series[k]
 
 
 def test_gegenbauer_domain():

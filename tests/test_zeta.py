@@ -138,6 +138,19 @@ def test_compare_zeta_pair_domain():
         compare_zeta_pair(2.0, 2, kmax=0)
 
 
+def test_compare_zeta_pair_kmax_within_term_budget(monkeypatch):
+    import spherezeta.zeta as zeta_mod
+
+    def no_arrays(*args):
+        raise AssertionError("spectral arrays built for an over-budget kmax")
+
+    monkeypatch.setattr(zeta_mod, "_spectral_arrays", no_arrays)
+    with pytest.raises(ValueError, match="term budget"):
+        compare_zeta_pair(2.0, 2, kmax=100_000_000)
+    with pytest.raises(ValueError, match="max_k=50"):
+        compare_zeta_pair(2.0, 2, kmax=51, policy=TruncationPolicy(max_k=50))
+
+
 def test_loose_policy_is_still_honest():
     loose = TruncationPolicy(max_k=200_000, tol=1e-6)
     for n, s in ((2, 2.0), (4, 3.25)):
@@ -169,3 +182,53 @@ def test_oracle_refuses_unconverged_expansion(s, n):
     # used to stop and return it against the true 5.9e-32)
     with pytest.raises(ArithmeticError, match="not converged"):
         ref_spectral_zeta(s, n)
+
+
+def _looped_tails(s, n, k_last, jmax=4):
+    # the tails written out as separate loops over the multiplicity
+    # polynomial, one per expansion term, as zeta._poly_tail replaces them
+    from spherezeta.spectrum import mult_poly_coeffs
+    from spherezeta.truncation import power_tail
+
+    rho, coeffs = (n - 1) / 2.0, mult_poly_coeffs(n)
+    reg_est = reg_bound = est = bound = 0.0
+    for m, a_m in enumerate(coeffs):
+        if a_m != 0.0:
+            e, b = power_tail(2.0 * s - m, rho, k_last + 1)
+            reg_est += a_m * e
+            reg_bound += abs(a_m) * b
+    g = 1.0
+    for j in range(jmax + 1):
+        if j > 0:
+            g *= (s + j - 1.0) / j
+        w = g * rho ** (2 * j)
+        if w == 0.0:
+            break
+        for m, a_m in enumerate(coeffs):
+            if a_m != 0.0:
+                e, b = power_tail(2.0 * s + 2 * j - m, rho, k_last + 1)
+                est += w * a_m * e
+                bound += w * abs(a_m) * b
+    if rho > 0.0:
+        w_next = g * (s + jmax) / (jmax + 1.0) * rho ** (2 * (jmax + 1))
+        rem = 0.0
+        for m, a_m in enumerate(coeffs):
+            if a_m != 0.0:
+                e, b = power_tail(2.0 * s + 2 * (jmax + 1) - m, rho, k_last + 1)
+                rem += abs(a_m) * (e + b)
+        z = k_last + 0.5 + rho
+        ratio = rho * rho * (s + jmax + 1.0) / ((jmax + 2.0) * z * z)
+        bound = math.inf if ratio >= 1.0 else bound + w_next * rem / (1.0 - ratio)
+    return (reg_est, reg_bound), (est, bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 20, 40])
+def test_tails_equal_looped_reference(n):
+    from spherezeta.zeta import _JMAX, _regularized_tail, _spectral_tail
+
+    for ds in (0.3, 1.7, 6.0):
+        s = n / 2.0 + ds
+        for k_last in (8, 16, 64, 1024):
+            regularized, spectral = _looped_tails(s, n, k_last, _JMAX)
+            assert _regularized_tail(s, n, k_last) == regularized
+            assert _spectral_tail(s, n, k_last) == spectral
