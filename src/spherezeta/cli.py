@@ -100,11 +100,7 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
 
 
 def _load_config(path: str) -> dict:
-    known = {
-        "tol": float, "max_k": int, "split_point": float,
-        "nodes_small": int, "nodes_large": int, "t_cutoff": float,
-        "format": str,
-    }
+    known = {"tol": float, "max_k": int, "nodes": int, "t_cutoff": float, "format": str}
     cfg = {}
     try:
         with open(path) as fh:
@@ -324,12 +320,9 @@ def _cmd_mellin_check(args):
         max_k=args.max_k if args.max_k is not None else 2_000_000,
         tol=min(1e-7, verdict_tol / 10.0),
     )
-    quad_kwargs = {k: cfg[k] for k in
-                   ("split_point", "nodes_small", "nodes_large", "t_cutoff")
-                   if k in cfg}
+    quad_kwargs = {k: cfg[k] for k in ("nodes", "t_cutoff") if k in cfg}
     if args.quad_nodes is not None:
-        quad_kwargs["nodes_small"] = args.quad_nodes
-        quad_kwargs.setdefault("nodes_large", max(16, args.quad_nodes // 2))
+        quad_kwargs["nodes"] = args.quad_nodes
     quad = kernels.QuadraturePolicy(**quad_kwargs)
     q = kernels.KernelQuery(n=args.n, cos_gamma=args.cos_gamma, policy=pol)
     mz = kernels.mellin_zeta_kernel(args.s, q, quad)
@@ -463,10 +456,13 @@ _COMMANDS = {
 }
 
 
+# built once per process: building costs far more than a parse
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         for name in ("format", "tol", "max_k", "config", "out"):
             if not hasattr(args, name):
                 setattr(args, name, None)

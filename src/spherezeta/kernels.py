@@ -18,9 +18,9 @@ multiplicity polynomial with midpoint-corrected monomial tails.
 
     zeta_s(x, y) = (1/Gamma(s)) int_0^inf t^(s-1) (K_t(x, y) - 1/V_n) dt,
 
-split into an analytically bounded head near t = 0, Gauss-Legendre panels
-in log-t up to the split point, Gauss-Legendre panels in t up to t_cutoff,
-and an analytically bounded far tail governed by the spectral gap
+split into an analytically bounded head near t = 0, one family of
+Gauss-Legendre panels in u = log t from the head cut up to t_cutoff, and
+an analytically bounded far tail governed by the spectral gap
 lambda_1 = n.  The far tail needs only an upper bound on Gamma(s, x) at
 x = lambda_1 t_cutoff, and takes x^(s-1) e^(-x) for s <= 1 and
 x^(s-1) e^(-x) / (1 - (s-1)/x) for s > 1, x > s - 1 (integrate
@@ -66,30 +66,22 @@ class KernelQuery:
             raise ValueError("cos_gamma must lie in [-1, 1]")
 
 
-_MAX_QUAD_NODES = 1 << 14  # per segment: bounds Mellin CPU time and memory
+_MAX_QUAD_NODES = 1 << 14  # bounds Mellin CPU time and memory
 
 
 @dataclass(frozen=True)
 class QuadraturePolicy:
-    """Mellin quadrature layout.
+    """Mellin quadrature: a target of `nodes` (16 to _MAX_QUAD_NODES) in log-t
+    panels up to t_cutoff > 1, beyond which the spectral-gap bound takes over."""
 
-    split_point separates the log-t panels from the linear-t panels;
-    nodes_small / nodes_large are target node totals for the two segments,
-    each between 16 and _MAX_QUAD_NODES; integration stops at t_cutoff,
-    beyond which the spectral-gap bound takes over.
-    """
-
-    split_point: float = 1.0
-    nodes_small: int = 256
-    nodes_large: int = 128
+    nodes: int = 384
     t_cutoff: float = 30.0
 
     def __post_init__(self):
-        if not (0.0 < self.split_point < self.t_cutoff):
-            raise ValueError("need 0 < split_point < t_cutoff")
-        if not (16 <= min(self.nodes_small, self.nodes_large)
-                and max(self.nodes_small, self.nodes_large) <= _MAX_QUAD_NODES):
-            raise ValueError(f"need 16 to {_MAX_QUAD_NODES} nodes per segment")
+        if not (self.t_cutoff > 1.0):
+            raise ValueError("need t_cutoff > 1")
+        if not (16 <= self.nodes <= _MAX_QUAD_NODES):
+            raise ValueError(f"need 16 to {_MAX_QUAD_NODES} quadrature nodes")
 
 
 DEFAULT_QUAD = QuadraturePolicy()
@@ -239,11 +231,11 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
                                  / (s - n / 2.0))
 
     target = 0.25 * tol
-    lo, hi = -300.0, math.log(quad.split_point)
+    lo, hi = -300.0, 0.0
     if head_bound(lo) > target:
         raise AccuracyError("head budget unreachable at any positive cutoff")
     if head_bound(hi) <= target:
-        lo = hi  # whole small-t segment already inside budget
+        lo = hi  # the head may be cut as late as t = 1
     else:
         # head_bound is increasing in tau: keep lo feasible, hi infeasible
         for _ in range(80):
@@ -277,21 +269,17 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
         k = smallest_k(bound, node_tol, min(_heat_k_min(n, t), k_cap), k_cap)
         return float(np.dot(w[:k], np.exp(-lam[:k] * t))) / vol, bound(k)
 
-    # log-t panels (t = e^u) on [t_min, split_point], linear-t panels on
-    # [split_point, t_cutoff]; jac carries the weights of t^(s-1) dt
-    u_lo, u_hi = math.log(t_min), math.log(quad.split_point)
-    u, w_log = _gl_nodes(u_lo, u_hi, max(2, math.ceil((u_hi - u_lo) / 1.25),
-                                         quad.nodes_small // 16))
-    t_lin, w_lin = _gl_nodes(quad.split_point, quad.t_cutoff,
-                             max(2, quad.nodes_large // 16))
-    ts = np.concatenate([np.exp(u), t_lin])
-    jac = np.concatenate([w_log * np.exp(s * u - lg_s),
-                          w_lin * np.exp((s - 1.0) * np.log(t_lin) - lg_s)])
-    f, berr = np.array([series_node(t) for t in ts.tolist()]).T
+    # Gauss-Legendre panels in u = log t on [t_min, t_cutoff]; jac carries
+    # the weights of t^(s-1) dt = e^(s u) du, divided by Gamma(s)
+    u_lo, u_hi = math.log(t_min), math.log(quad.t_cutoff)
+    u, w_u = _gl_nodes(u_lo, u_hi, max(2, math.ceil((u_hi - u_lo) / 1.25),
+                                       quad.nodes // 16))
+    jac = w_u * np.exp(s * u - lg_s)
+    f, berr = np.array([series_node(t) for t in np.exp(u).tolist()]).T
     total = jac @ f
     node_err = np.abs(jac) @ berr
 
     err = float(head + far + node_err)
     if err > tol:
         raise AccuracyError(f"certified error {err:.3e} exceeds budget {tol:.3e}")
-    return EvalResult(value=float(total), terms_used=len(ts), tail_bound=err)
+    return EvalResult(value=float(total), terms_used=len(u), tail_bound=err)

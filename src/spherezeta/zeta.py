@@ -16,9 +16,10 @@ sum with the midpoint-integral correction; spectral_zeta additionally
 expands (u^2 - rho^2)^(-s) = u^(-2s) sum_j C(s+j-1, j) (rho/u)^(2j), whose
 truncation error is controlled by a geometric-ratio bound.
 
-``closed_form_Z`` carries the elementary reductions of Z to Riemann zeta
-values for n <= 4.  Note for n = 3: the reduction often quoted as
-zeta_R(2s-1) - 1 does not match the defining series; the series is
+``closed_form_Z`` reduces Z to Riemann zeta values for n <= 4, one term
+per coefficient of the multiplicity polynomial.  Note for n = 3: the
+reduction often quoted as zeta_R(2s-1) - 1 does not match the defining
+series; the series is
 sum_{k>=1} (k+1)^2 (k+1)^(-2s) = zeta_R(2s-2) - 1, and that is what is
 implemented (the grid tests against the direct summation pin this down).
 """
@@ -55,13 +56,6 @@ class ZetaPair:
     zeta_shifted: EvalResult   # sum d_k (k+rho)^(-2s)
     dominated: bool
     first_violation: int | None
-
-
-def _pow(base: float, expo: float) -> float:
-    # all real powers in the closed forms funnel through here
-    if base <= 0.0:
-        raise ValueError("positive base required")
-    return math.exp(expo * math.log(base))
 
 
 def _poly_tail(n: int, k_last: int, powers) -> tuple[float, float, float]:
@@ -158,33 +152,30 @@ def hurwitz_style_Z(s: float, c: float,
 
 
 def _closed_form_terms(s: float, n: int) -> EvalResult:
-    """Certified n <= 4 reduction; terms_used counts the zeta terms summed."""
+    """Certified n <= 4 reduction; terms_used counts the zeta terms summed.
+
+    Z = sum_m a_m sum_{k>=1} u^(-p), p = 2s - m, over d_k = sum_m a_m u^m,
+    u = k + rho (``mult_poly_coeffs``); the inner sum is zeta_R(p) less its
+    first rho terms, or (2^p - 1) zeta_R(p) less (j + 1/2)^(-p), j < rho,
+    for half-integer rho."""
     if n not in (1, 2, 3, 4):
+        # beyond n = 4 the a_m alternate in sign and cancel
         raise ValueError("closed forms implemented for n in {1, 2, 3, 4}")
     if not (s > n / 2.0):
         raise ValueError("need s > n/2")
-    if n == 1:
-        z = shifted_power_sum(2.0 * s, 1.0, _TIGHT)
-        return EvalResult(2.0 * z.value, z.terms_used, 2.0 * z.tail_bound)
-    if n == 2:
-        z = shifted_power_sum(2.0 * s - 1.0, 1.0, _TIGHT)
-        c1 = _pow(2.0, 2.0 * s) - 2.0
-        return EvalResult(c1 * z.value - _pow(4.0, s), z.terms_used, c1 * z.tail_bound)
-    if n == 3:
-        # sum (k+1)^(2-2s) over k >= 1: Riemann zeta minus the k=0 term
-        z = shifted_power_sum(2.0 * s - 2.0, 1.0, _TIGHT)
-        return EvalResult(z.value - 1.0, z.terms_used, z.tail_bound)
-    za = shifted_power_sum(2.0 * s - 3.0, 1.0, _TIGHT)
-    zb = shifted_power_sum(2.0 * s - 1.0, 1.0, _TIGHT)
-    pw = _pow(2.0, 2.0 * s - 3.0)
-    value = (
-        (pw - 1.0) / 3.0 * za.value
-        - (pw - 0.25) / 3.0 * zb.value
-        - _pow(2.0 / 3.0, 2.0 * s - 3.0) / 3.0
-        + _pow(2.0 / 3.0, 2.0 * s) / 8.0
-    )
-    bound = abs(pw - 1.0) / 3.0 * za.tail_bound + abs(pw - 0.25) / 3.0 * zb.tail_bound
-    return EvalResult(value, za.terms_used + zb.terms_used, bound)
+    rho = (n - 1) / 2.0
+    value, bound, terms = 0.0, 0.0, 0
+    for m, a_m in enumerate(mult_poly_coeffs(n)):
+        if a_m == 0.0:
+            continue
+        p = 2.0 * s - m
+        z = shifted_power_sum(p, 1.0, _TIGHT)
+        scale = math.pow(2.0, p) - 1.0 if n % 2 == 0 else 1.0
+        first = sum(math.pow(rho - i, -p) for i in range(math.ceil(rho)))
+        value += a_m * (scale * z.value - first)
+        bound += abs(a_m) * scale * z.tail_bound
+        terms += z.terms_used
+    return EvalResult(value, terms, bound)
 
 
 def closed_form_Z(s: float, n: int) -> float:

@@ -388,13 +388,66 @@ def test_tiny_time_refuses_at_term_budget(capsys, argv):
 def test_mellin_node_cap(capsys, tmp_path):
     argv = ["mellin-check", "--n", "1", "--s", "1.5", "--cos-gamma", "0.5"]
     assert cli.main(argv + ["--quad-nodes", "100000"]) == 1
-    assert "nodes per segment" in capsys.readouterr().err
+    assert "16 to 16384 quadrature nodes" in capsys.readouterr().err
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text("nodes_small = 1000000000000\n")
+    cfg.write_text("nodes = 1000000000000\n")
     assert cli.main(argv + ["--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "nodes per segment" in captured.err
+    assert "16 to 16384 quadrature nodes" in captured.err
+
+
+MELLIN_ARGV = ["mellin-check", "--n", "2", "--s", "2.25", "--cos-gamma", "0.3"]
+
+
+@pytest.mark.parametrize("line", [
+    "tol = 1e-5", "max_k = 300000", "nodes = 512", "t_cutoff = 20", "format = csv",
+])
+def test_mellin_config_keys_accepted(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out = run(capsys, MELLIN_ARGV + ["--config", str(cfg)])
+    assert code == 0
+    if line.startswith("format"):
+        assert out.splitlines()[0].startswith("command,")
+        return
+    rec = records(out)[0]
+    assert rec["verdict"] is True
+    assert rec["quad_nodes"] == (512 if line.startswith("nodes") else 384)
+
+
+@pytest.mark.parametrize("key", ["split_point", "nodes_small", "nodes_large"])
+def test_removed_quadrature_keys_are_unknown(capsys, tmp_path, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 256\n")
+    assert cli.main(MELLIN_ARGV + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key" in captured.err
+
+
+def test_quad_nodes_sets_the_node_total(capsys):
+    code, out = run(capsys, MELLIN_ARGV + ["--quad-nodes", "512"])
+    assert code == 0
+    assert records(out)[0]["quad_nodes"] == 512
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def fail():
+        raise AssertionError("build_parser called from main")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    assert cli.main(["majorize", "--x", "3,1", "--y", "2,2"]) == 0
+    capsys.readouterr()
+
+
+def test_underflowing_zeta_record_is_pinned(capsys):
+    # every term of Z(101) on S^200 underflows; a change to underflow
+    # handling must move this record on purpose
+    code, out = run(capsys, ["zeta", "--n", "200", "--s", "101"])
+    assert code == 0
+    assert records(out) == [{"command": "zeta", "form": "series", "n": 200, "s": 101,
+                             "value": 0, "tail_bound": 0, "terms_used": 16}]
 
 
 @pytest.mark.parametrize("s", ["172", "200"])

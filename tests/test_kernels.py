@@ -169,11 +169,9 @@ def test_query_and_policy_validation():
     with pytest.raises(ValueError):
         KernelQuery(n=2, cos_gamma=1.5)
     with pytest.raises(ValueError):
-        QuadraturePolicy(split_point=0.0)
+        QuadraturePolicy(t_cutoff=1.0)
     with pytest.raises(ValueError):
-        QuadraturePolicy(split_point=40.0, t_cutoff=30.0)
-    with pytest.raises(ValueError):
-        QuadraturePolicy(nodes_small=8)
+        QuadraturePolicy(nodes=8)
 
 
 def test_small_time_budget_refusal():
@@ -201,9 +199,7 @@ def test_mellin_matches_direct_kernel(n, s, cg):
 def test_mellin_stable_under_node_doubling():
     qq = KernelQuery(n=2, cos_gamma=0.5, policy=MELLIN_POLICY)
     base = mellin_zeta_kernel(2.0, qq)
-    fine = mellin_zeta_kernel(
-        2.0, qq, QuadraturePolicy(nodes_small=512, nodes_large=256)
-    )
+    fine = mellin_zeta_kernel(2.0, qq, QuadraturePolicy(nodes=768))
     assert abs(base.value - fine.value) <= 1e-9
 
 
@@ -282,12 +278,10 @@ def test_tiny_time_refuses_at_term_budget(t, n):
 
 
 def test_quadrature_node_cap():
-    QuadraturePolicy(nodes_small=_MAX_QUAD_NODES, nodes_large=_MAX_QUAD_NODES)
+    QuadraturePolicy(nodes=_MAX_QUAD_NODES)
     for bad in (_MAX_QUAD_NODES + 1, 10**12):
-        with pytest.raises(ValueError, match="nodes per segment"):
-            QuadraturePolicy(nodes_small=bad)
-        with pytest.raises(ValueError, match="nodes per segment"):
-            QuadraturePolicy(nodes_large=bad)
+        with pytest.raises(ValueError, match="16 to 16384 quadrature nodes"):
+            QuadraturePolicy(nodes=bad)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 1.5, 2.5, 5.0, 10.6, 30.5, 60.0])
