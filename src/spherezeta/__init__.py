@@ -36,7 +36,6 @@ from .zeta import (
 )
 from .kernels import (
     KernelQuery,
-    QuadraturePolicy,
     circle_heat_oracle,
     heat_kernel,
     heat_trace,
@@ -87,8 +86,8 @@ __all__ = [
     "multiplicity_product_form", "shifted_eigenvalue", "sphere_spec",
     "spectrum_slice", "ZetaPair", "closed_form_Z", "compare_zeta_pair",
     "hurwitz_style_Z", "regularized_zeta", "spectral_zeta", "KernelQuery",
-    "QuadraturePolicy", "circle_heat_oracle", "heat_kernel", "heat_trace",
-    "mellin_zeta_kernel", "zeta_kernel", "DominationReport",
+    "circle_heat_oracle", "heat_kernel", "heat_trace", "mellin_zeta_kernel",
+    "zeta_kernel", "DominationReport",
     "MajorizationReport", "majorizes", "partial_sum_domination",
     "reciprocal_order_probe", "schur_convex_probe", "weak_majorizes",
     "EntrywiseReport", "PairingReport", "Potential", "SymmetricOperator",

@@ -100,7 +100,7 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
 
 
 def _load_config(path: str) -> dict:
-    known = {"tol": float, "max_k": int, "nodes": int, "t_cutoff": float, "format": str}
+    known = {"tol": float, "max_k": int, "format": str}
     cfg = {}
     try:
         with open(path) as fh:
@@ -213,7 +213,6 @@ def build_parser() -> _Parser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--s", type=float, required=True)
     q.add_argument("--cos-gamma", dest="cos_gamma", type=float, required=True)
-    q.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None)
 
     q = sub.add_parser("dominate",
                        help="shifted vs unshifted zeta partial-sum domination")
@@ -283,6 +282,9 @@ def _cmd_zeta(args):
             r = zeta.regularized_zeta(s, args.n, pol)
         elif args.form == "closed":
             r = zeta._closed_form_terms(s, args.n)
+            if not r.tail_bound <= pol.tol:
+                raise AccuracyError(
+                    f"certified bound {r.tail_bound:.3e} exceeds tol {pol.tol:.3e}")
         else:
             c = (args.n - 1) / 2.0
             if c <= 0.0:
@@ -314,18 +316,13 @@ def _cmd_heat_trace(args):
 
 
 def _cmd_mellin_check(args):
-    cfg = args.cfg
     verdict_tol = args.tol if args.tol is not None else 1e-6
     pol = TruncationPolicy(
         max_k=args.max_k if args.max_k is not None else 2_000_000,
         tol=min(1e-7, verdict_tol / 10.0),
     )
-    quad_kwargs = {k: cfg[k] for k in ("nodes", "t_cutoff") if k in cfg}
-    if args.quad_nodes is not None:
-        quad_kwargs["nodes"] = args.quad_nodes
-    quad = kernels.QuadraturePolicy(**quad_kwargs)
     q = kernels.KernelQuery(n=args.n, cos_gamma=args.cos_gamma, policy=pol)
-    mz = kernels.mellin_zeta_kernel(args.s, q, quad)
+    mz = kernels.mellin_zeta_kernel(args.s, q)
     dz = kernels.zeta_kernel(args.s, q)
     diff = mz.value - dz.value
     ok = abs(diff) <= verdict_tol
@@ -463,16 +460,13 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        for name in ("format", "tol", "max_k", "config", "out"):
-            if not hasattr(args, name):
-                setattr(args, name, None)
-        cfg = args.cfg = _load_config(args.config) if args.config else {}
-        if args.tol is None and "tol" in cfg:
-            args.tol = cfg["tol"]
-        if args.max_k is None and "max_k" in cfg:
-            args.max_k = cfg["max_k"]
-        fmt = args.format or cfg.get("format", "json")
+        cfg = _load_config(args.config) if hasattr(args, "config") else {}
+        # an explicit flag wins over the config file; out has no config key
+        for name in ("format", "tol", "max_k", "out"):
+            setattr(args, name, getattr(args, name, cfg.get(name)))
         records, ok = _COMMANDS[args.command](args)
+        buf = io.StringIO()
+        _emit(records, args.format or "json", buf)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -480,8 +474,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    buf = io.StringIO()
-    _emit(records, fmt, buf)
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:

@@ -19,15 +19,14 @@ multiplicity polynomial with midpoint-corrected monomial tails.
     zeta_s(x, y) = (1/Gamma(s)) int_0^inf t^(s-1) (K_t(x, y) - 1/V_n) dt,
 
 split into an analytically bounded head near t = 0, one family of
-Gauss-Legendre panels in u = log t from the head cut up to t_cutoff, and
+Gauss-Legendre panels in u = log t from the head cut up to a cutoff T, and
 an analytically bounded far tail governed by the spectral gap
 lambda_1 = n.  The far tail needs only an upper bound on Gamma(s, x) at
-x = lambda_1 t_cutoff, and takes x^(s-1) e^(-x) for s <= 1 and
+x = lambda_1 T, and takes x^(s-1) e^(-x) for s <= 1 and
 x^(s-1) e^(-x) / (1 - (s-1)/x) for s > 1, x > s - 1 (integrate
 t^(s-1) <= x^(s-1) e^((s-1)(t-x)/x), from log t <= log x + (t-x)/x),
-both capped at Gamma(s).  Head, far-tail and per-node series truncations
-are all certified; the Gauss-Legendre discretization itself converges
-spectrally and is validated separately by node doubling in the test suite.
+both capped at Gamma(s).  Every part of the error is certified, the panel
+quadrature by a Bernstein-ellipse bound (``_quadrature_bound``).
 """
 
 from __future__ import annotations
@@ -66,25 +65,7 @@ class KernelQuery:
             raise ValueError("cos_gamma must lie in [-1, 1]")
 
 
-_MAX_QUAD_NODES = 1 << 14  # bounds Mellin CPU time and memory
-
-
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Mellin quadrature: a target of `nodes` (16 to _MAX_QUAD_NODES) in log-t
-    panels up to t_cutoff > 1, beyond which the spectral-gap bound takes over."""
-
-    nodes: int = 384
-    t_cutoff: float = 30.0
-
-    def __post_init__(self):
-        if not (self.t_cutoff > 1.0):
-            raise ValueError("need t_cutoff > 1")
-        if not (16 <= self.nodes <= _MAX_QUAD_NODES):
-            raise ValueError(f"need 16 to {_MAX_QUAD_NODES} quadrature nodes")
-
-
-DEFAULT_QUAD = QuadraturePolicy()
+_MAX_PANELS = 1 << 10  # of 16 Mellin nodes each; bounds CPU time and memory
 
 
 def _heat_tail_bound(n: int, t: float, k_last: int) -> float:
@@ -193,6 +174,17 @@ def _log_upper_gamma(s: float, x: float) -> float:
     return min(log_b, math.lgamma(s))
 
 
+def _log_trace_envelope(n: int, log_tau, s: float | None = None):
+    """Log of 2^n (e^(-tau) + Gamma(n/2) tau^(-n/2) / 2) >= Tr e^(tau Delta) - 1,
+    which bounds V_n |K_t - 1/V_n| for Re t >= tau; given s, the log of its
+    integral against t^(s-1) over (0, tau] once e^(-t) <= 1."""
+    lg_half = math.lgamma(n / 2.0) - math.log(2.0) - 0.5 * n * log_tau
+    if s is None:
+        return n * math.log(2.0) + np.logaddexp(-np.exp(log_tau), lg_half)
+    return n * math.log(2.0) + s * log_tau + np.logaddexp(
+        -math.log(s), lg_half - math.log(s - n / 2.0))
+
+
 def _gl_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of 16-point Gauss-Legendre on equal panels of [a, b]."""
     x16, w16 = leggauss(16)
@@ -202,33 +194,42 @@ def _gl_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * x16).ravel(), (w16 * half).ravel()
 
 
-def mellin_zeta_kernel(s: float, q: KernelQuery,
-                       quad: QuadraturePolicy = DEFAULT_QUAD) -> EvalResult:
-    """Zeta kernel recovered from the heat kernel by Mellin transform.
+def _quadrature_bound(n: int, s: float, log_scale: float, u_lo: float, u_hi: float,
+                      panels: int) -> float:
+    """Error bound of ``_gl_nodes(u_lo, u_hi, panels)`` on the Mellin integrand
+    e^(s u) (K_{e^u} - 1/V_n) / Gamma(s), log_scale = log(Gamma(s) V_n).
 
-    The certified error (head cut, far tail, per-node series truncation)
-    is budgeted at q.policy.tol; exceeding the budget raises.  Gauss-
-    Legendre panel error is not part of the certificate and is validated
-    empirically by node doubling.
-    """
-    spec = sphere_spec(q.n)
-    n, vol = spec.n, spec.volume
+    On [c - h, c + h] the Bernstein ellipse of semi-minor axis b = pi/4 has
+    rho = (b + sqrt(b^2 + h^2))/h and semi-major axis a = h (rho + 1/rho)/2,
+    and there |integrand| <= M = e^(s (c + a) - log_scale) envelope(e^(c - a)
+    cos b).  16-point Gauss is exact to degree 31; summing |a_k| |I(T_k) -
+    I_16(T_k)| <= 2 M rho^-k 32/15 over even k >= 32 bounds the panel error by
+    (64/15) h M rho^-32 / (1 - rho^-2) (Trefethen, SIAM Rev. 50 (2008) Thm 4.5)."""
+    b = math.pi / 4.0
+    h = 0.5 * (u_hi - u_lo) / panels
+    rho = (b + math.hypot(b, h)) / h
+    a = 0.5 * h * (rho + 1.0 / rho)
+    c = u_lo + h * (2.0 * np.arange(panels) + 1.0)
+    log_m = s * (c + a) - log_scale + _log_trace_envelope(n, c - a + math.log(math.cos(b)))
+    log_err = (float(np.logaddexp.reduce(log_m)) + math.log(64.0 / 15.0 * h)
+               - 32.0 * math.log(rho) - math.log1p(-rho**-2))
+    return math.exp(log_err) if log_err < 709.0 else math.inf
+
+
+def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
+    """Zeta kernel recovered from the heat kernel by Mellin transform.  Head,
+    far tail, node series and panel quadrature each get a certified quarter
+    of q.policy.tol; a total over tol raises."""
+    n, vol = q.n, sphere_spec(q.n).volume
     if not (s > n / 2.0):
         raise ValueError("need s > n/2 for convergence")
-    if n * quad.t_cutoff > 600.0:
-        raise ValueError("t_cutoff too large for stable spectral-gap bound")
     tol = q.policy.tol
     # every budget and weight below is divided by Gamma(s), carried as its
     # log so that no intermediate overflows however large s is
     lg_s = math.lgamma(s)
 
-    # head: |K_t - 1/V| <= (2^n/V)(e^{-t} + Gamma(n/2) t^{-n/2} / 2)
-    lg_half = math.lgamma(n / 2.0) - math.log(2.0)
-
     def head_bound(log_tau: float) -> float:
-        return (2.0**n / vol) * (math.exp(s * log_tau - lg_s) / s
-                                 + math.exp((s - n / 2.0) * log_tau + lg_half - lg_s)
-                                 / (s - n / 2.0))
+        return math.exp(_log_trace_envelope(n, log_tau, s) - lg_s) / vol
 
     target = 0.25 * tol
     lo, hi = -300.0, 0.0
@@ -247,14 +248,19 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
     t_min = math.exp(lo)
     head = head_bound(lo)
 
-    # far tail via the spectral gap lambda_1 = n
-    excited = _excited_sum(n, quad.t_cutoff)
-    far = (excited / vol) * math.exp(
-        _log_upper_gamma(s, n * quad.t_cutoff) - s * math.log(n) - lg_s)
+    def far_bound(t_cut: float) -> float:
+        return (_excited_sum(n, t_cut) / vol) * math.exp(
+            _log_upper_gamma(s, n * t_cut) - s * math.log(n) - lg_s)
+
+    # far tail via the spectral gap lambda_1 = n: the cutoff doubles from 30
+    # while lambda_1 t_cut <= 600 keeps e^(lambda_1 t_cut) finite
+    t_cut = min(30.0, 600.0 / n)
+    while (far := far_bound(t_cut)) > target and 2.0 * n * t_cut <= 600.0:
+        t_cut *= 2.0
 
     # per-node series accuracy target, so that the node errors add up to at
     # most tol/4; capping the exponent below overflow only lowers it
-    node_tol = 0.25 * tol * s * math.exp(min(lg_s - s * math.log(quad.t_cutoff), 700.0))
+    node_tol = target * s * math.exp(min(lg_s - s * math.log(t_cut), 700.0))
 
     k_cap = smallest_k(lambda k: _heat_tail_bound(n, t_min, k) / vol, node_tol,
                        _heat_k_min(n, t_min), q.policy.max_k)
@@ -269,17 +275,20 @@ def mellin_zeta_kernel(s: float, q: KernelQuery,
         k = smallest_k(bound, node_tol, min(_heat_k_min(n, t), k_cap), k_cap)
         return float(np.dot(w[:k], np.exp(-lam[:k] * t))) / vol, bound(k)
 
-    # Gauss-Legendre panels in u = log t on [t_min, t_cutoff]; jac carries
-    # the weights of t^(s-1) dt = e^(s u) du, divided by Gamma(s)
-    u_lo, u_hi = math.log(t_min), math.log(quad.t_cutoff)
-    u, w_u = _gl_nodes(u_lo, u_hi, max(2, math.ceil((u_hi - u_lo) / 1.25),
-                                       quad.nodes // 16))
+    # Gauss-Legendre panels in u = log t on [t_min, t_cut], from one per 1.25;
+    # jac carries the weights of t^(s-1) dt = e^(s u) du, divided by Gamma(s)
+    u_lo, u_hi = math.log(t_min), math.log(t_cut)
+    panels = max(2, math.ceil((u_hi - u_lo) / 1.25))
+    while ((quad := _quadrature_bound(n, s, lg_s + math.log(vol), u_lo, u_hi, panels))
+           > target and 2 * panels <= _MAX_PANELS):
+        panels *= 2
+    u, w_u = _gl_nodes(u_lo, u_hi, panels)
     jac = w_u * np.exp(s * u - lg_s)
     f, berr = np.array([series_node(t) for t in np.exp(u).tolist()]).T
     total = jac @ f
     node_err = np.abs(jac) @ berr
 
-    err = float(head + far + node_err)
+    err = float(head + far + node_err + quad)
     if err > tol:
         raise AccuracyError(f"certified error {err:.3e} exceeds budget {tol:.3e}")
     return EvalResult(value=float(total), terms_used=len(u), tail_bound=err)

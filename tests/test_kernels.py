@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from spherezeta import kernels
 from spherezeta.kernels import (
-    _MAX_QUAD_NODES,
     KernelQuery,
-    QuadraturePolicy,
     _heat_k_min,
     _heat_tail_bound,
+    _log_trace_envelope,
     _log_upper_gamma,
     circle_heat_oracle,
     heat_kernel,
@@ -168,10 +168,6 @@ def test_query_and_policy_validation():
         KernelQuery(n=0, cos_gamma=0.5)
     with pytest.raises(ValueError):
         KernelQuery(n=2, cos_gamma=1.5)
-    with pytest.raises(ValueError):
-        QuadraturePolicy(t_cutoff=1.0)
-    with pytest.raises(ValueError):
-        QuadraturePolicy(nodes=8)
 
 
 def test_small_time_budget_refusal():
@@ -196,11 +192,25 @@ def test_mellin_matches_direct_kernel(n, s, cg):
     assert bridged.tail_bound <= 1e-7
 
 
-def test_mellin_stable_under_node_doubling():
+def test_mellin_stable_under_node_doubling(monkeypatch):
     qq = KernelQuery(n=2, cos_gamma=0.5, policy=MELLIN_POLICY)
     base = mellin_zeta_kernel(2.0, qq)
-    fine = mellin_zeta_kernel(2.0, qq, QuadraturePolicy(nodes=768))
+    gl_nodes = kernels._gl_nodes
+    monkeypatch.setattr(kernels, "_gl_nodes", lambda a, b, panels: gl_nodes(a, b, 2 * panels))
+    fine = mellin_zeta_kernel(2.0, qq)
+    assert fine.terms_used == 2 * base.terms_used
     assert abs(base.value - fine.value) <= 1e-9
+    assert abs(base.value - fine.value) <= base.tail_bound + fine.tail_bound
+
+
+@pytest.mark.parametrize("s", [10.0, 30.0])
+def test_mellin_circle_large_s_certifies(s):
+    # the lambda_1 = 1 mode of S^1 keeps mass far out, so the cutoff must
+    # grow past 30 before the far tail fits its share
+    qq = KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY)
+    bridged, direct = mellin_zeta_kernel(s, qq), zeta_kernel(s, qq)
+    assert bridged.tail_bound <= MELLIN_POLICY.tol
+    assert abs(bridged.value - direct.value) <= bridged.tail_bound + direct.tail_bound
 
 
 def test_heat_kernel_decay_rate_is_spectral_gap():
@@ -216,8 +226,6 @@ def test_heat_kernel_decay_rate_is_spectral_gap():
 
 def test_mellin_guard_rails():
     qq = KernelQuery(n=4, cos_gamma=0.5, policy=MELLIN_POLICY)
-    with pytest.raises(ValueError):
-        mellin_zeta_kernel(3.0, qq, QuadraturePolicy(t_cutoff=200.0))
     with pytest.raises(ValueError):
         mellin_zeta_kernel(1.0, qq)  # needs s > n/2
     hopeless = KernelQuery(n=2, cos_gamma=0.5,
@@ -277,17 +285,10 @@ def test_tiny_time_refuses_at_term_budget(t, n):
         heat_trace(t, n)
 
 
-def test_quadrature_node_cap():
-    QuadraturePolicy(nodes=_MAX_QUAD_NODES)
-    for bad in (_MAX_QUAD_NODES + 1, 10**12):
-        with pytest.raises(ValueError, match="16 to 16384 quadrature nodes"):
-            QuadraturePolicy(nodes=bad)
-
-
 @pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 1.5, 2.5, 5.0, 10.6, 30.5, 60.0])
 def test_upper_gamma_bound_against_gammaincc(s):
     # the grid covers x <= s - 1 (capped at Gamma(s)) for s >= 2.5, and
-    # x = lambda_1 t_cutoff up to the 600 the Mellin bridge allows
+    # x = lambda_1 T up to the 600 the Mellin bridge allows
     for x in (0.05, 0.3, 1.0, 2.0, 4.5, 10.0, 30.0, 31.0, 60.0, 90.0, 300.0, 600.0):
         log_exact = math.log(gammaincc(s, x)) + math.lgamma(s)
         log_bound = _log_upper_gamma(s, x)
@@ -299,8 +300,9 @@ def test_upper_gamma_bound_against_gammaincc(s):
 @pytest.mark.parametrize("s", [172.0, 200.0])
 def test_mellin_large_s_certifies_or_refuses(s):
     # Gamma(s) overflows float64 past s = 171.6; the bridge carries its log.
-    # On S^1 the lambda_1 = 1 mode keeps most of its mass beyond t_cutoff,
-    # so the far tail alone exceeds tol; for n >= 2 it falls like n^-s.
+    # On S^1 the lambda_1 = 1 mode puts the integrand's mass near t = s,
+    # where the panel bound needs more than the 1024-panel cap; for n >= 2
+    # the far tail falls like n^-s.
     with pytest.raises(AccuracyError, match="exceeds budget"):
         mellin_zeta_kernel(s, KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY))
     for n in (2, 3):
@@ -331,3 +333,16 @@ def test_heat_tail_bound_dominates_exact_tail(n):
         k_min = _heat_k_min(n, t)
         for k_last in (k_min, 2 * k_min, 4 * k_min):
             assert _heat_tail_bound(n, t, k_last) >= _exact_heat_tail(n, t, k_last), (t, k_last)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
+def test_trace_envelope_dominates_exact_trace(n):
+    # the Mellin head and quadrature bounds both rest on this envelope
+    g, s = math.gamma(n / 2.0), n / 2.0 + 0.75
+    for tau in (1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0):
+        envelope = 2.0**n * (math.exp(-tau) + g * tau ** (-n / 2.0) / 2.0)
+        assert math.exp(_log_trace_envelope(n, math.log(tau))) == pytest.approx(envelope)
+        assert envelope >= _exact_heat_tail(n, tau, 0), tau
+        # its integral against t^(s-1) over (0, tau], with e^(-t) <= 1
+        head = 2.0**n * (tau**s / s + g * tau ** (s - n / 2.0) / (2.0 * s - n))
+        assert math.exp(_log_trace_envelope(n, math.log(tau), s)) == pytest.approx(head)
