@@ -265,6 +265,8 @@ def _record(command: str, r: EvalResult, **fields) -> dict:
 
 
 def _cmd_spectrum(args):
+    if args.kmax > (max_k := _policy(args).max_k):
+        raise UsageError(f"--kmax {args.kmax} exceeds the term budget --max-k {max_k}")
     rows = spectrum.spectrum_slice(args.n, args.kmax)
     recs = [
         {"command": "spectrum", "n": args.n, "k": e.k, "lambda": e.lam,

@@ -18,15 +18,15 @@ multiplicity polynomial with midpoint-corrected monomial tails.
 
     zeta_s(x, y) = (1/Gamma(s)) int_0^inf t^(s-1) (K_t(x, y) - 1/V_n) dt,
 
-split into an analytically bounded head near t = 0, one family of
-Gauss-Legendre panels in u = log t from the head cut up to a cutoff T, and
-an analytically bounded far tail governed by the spectral gap
-lambda_1 = n.  The far tail needs only an upper bound on Gamma(s, x) at
-x = lambda_1 T, and takes x^(s-1) e^(-x) for s <= 1 and
-x^(s-1) e^(-x) / (1 - (s-1)/x) for s > 1, x > s - 1 (integrate
-t^(s-1) <= x^(s-1) e^((s-1)(t-x)/x), from log t <= log x + (t-x)/x),
-both capped at Gamma(s).  Every part of the error is certified, the panel
-quadrature by a Bernstein-ellipse bound (``_quadrature_bound``).
+split into a head near t = 0, Gauss-Legendre panels in u = log t from the
+head cut up to a cutoff T, and a far tail.  One envelope
+E(t) >= Tr e^(t Delta) - 1 (``_log_trace_envelope``) bounds the head by its
+integral, the panel error by its values on Bernstein ellipses
+(``_quadrature_bound``) and, as it decays like e^(-n t) past t = 1/2, the far
+tail by E(T) e^(nT) n^(-s) Gamma(s, nT), where Gamma(s, x) <= x^(s-1) e^(-x)
+for s <= 1 and x^(s-1) e^(-x) / (1 - (s-1)/x) for s > 1, x > s - 1 (integrate
+t^(s-1) <= x^(s-1) e^((s-1)(t-x)/x), from log t <= log x + (t-x)/x), both
+capped at Gamma(s).  The node series and floating-point roundoff are certified.
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ from numpy.polynomial.legendre import leggauss
 from .specfun import gegenbauer_ratio_series
 from .spectrum import _spectral_arrays, sphere_spec
 from .truncation import (
+    _EPS,
     DEFAULT_POLICY,
     AccuracyError,
     EvalResult,
     TruncationPolicy,
+    _roundoff_allowance,
     certified_sum,
     smallest_k,
 )
@@ -153,19 +155,6 @@ def circle_heat_oracle(t: float, gamma: float) -> float:
     return (1.0 + 2.0 * acc) / (2.0 * math.pi)
 
 
-def _excited_sum(n: int, big_t: float) -> float:
-    """Upper bound for e^{lambda_1 T} sum_{k>=1} d_k e^{-lambda_k T}."""
-    lam1 = float(n)
-    scale = math.exp(lam1 * big_t)
-
-    def bound(k):
-        return max(_heat_tail_bound(n, big_t, k), 1e-290) * scale
-
-    k = smallest_k(bound, 1e-16, 8, 1 << 20)
-    lam, _, d = _spectral_arrays(n, k)
-    return float(np.sum(d * np.exp(-(lam - lam1) * big_t))) + bound(k)
-
-
 def _log_upper_gamma(s: float, x: float) -> float:
     """Log of the module docstring's upper bound on Gamma(s, x), for x > 0."""
     if s > 1.0 and x <= s - 1.0:
@@ -175,14 +164,20 @@ def _log_upper_gamma(s: float, x: float) -> float:
 
 
 def _log_trace_envelope(n: int, log_tau, s: float | None = None):
-    """Log of 2^n (e^(-tau) + Gamma(n/2) tau^(-n/2) / 2) >= Tr e^(tau Delta) - 1,
-    which bounds V_n |K_t - 1/V_n| for Re t >= tau; given s, the log of its
-    integral against t^(s-1) over (0, tau] once e^(-t) <= 1."""
-    lg_half = math.lgamma(n / 2.0) - math.log(2.0) - 0.5 * n * log_tau
-    if s is None:
-        return n * math.log(2.0) + np.logaddexp(-np.exp(log_tau), lg_half)
-    return n * math.log(2.0) + s * log_tau + np.logaddexp(
-        -math.log(s), lg_half - math.log(s - n / 2.0))
+    """Log of E(tau) >= Tr e^(tau Delta) - 1, which bounds V_n |K_t - 1/V_n| for
+    Re t >= tau as |r_k| <= 1: 2^n (e^(-tau) + Gamma(n/2) tau^(-n/2) / 2), from
+    tau = 1/2 on capped by E(1/2) e^(-n (tau - 1/2)), as every excited mode has
+    lambda_k >= n; E is non-increasing.  Given s, the log of the integral of the
+    uncapped form against t^(s-1) over (0, tau] once e^(-t) <= 1."""
+    lg_half = math.lgamma(n / 2.0) - math.log(2.0)
+    if s is not None:
+        return n * math.log(2.0) + s * log_tau + np.logaddexp(
+            -math.log(s), lg_half - 0.5 * n * log_tau - math.log(s - n / 2.0))
+    tau = np.exp(log_tau)
+    log_e = np.logaddexp(-tau, lg_half - 0.5 * n * log_tau)
+    # tau0 = 1/2 minimises e^(n tau) tau^(-n/2), the term of E that dominates at large n
+    log_cap = np.logaddexp(-0.5, lg_half + 0.5 * n * math.log(2.0)) - n * (tau - 0.5)
+    return n * math.log(2.0) + np.where(tau < 0.5, log_e, np.minimum(log_e, log_cap))
 
 
 def _gl_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +214,7 @@ def _quadrature_bound(n: int, s: float, log_scale: float, u_lo: float, u_hi: flo
 def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     """Zeta kernel recovered from the heat kernel by Mellin transform.  Head,
     far tail, node series and panel quadrature each get a certified quarter
-    of q.policy.tol; a total over tol raises."""
+    of q.policy.tol, roundoff comes on top, and a total over tol raises."""
     n, vol = q.n, sphere_spec(q.n).volume
     if not (s > n / 2.0):
         raise ValueError("need s > n/2 for convergence")
@@ -249,13 +244,14 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     head = head_bound(lo)
 
     def far_bound(t_cut: float) -> float:
-        return (_excited_sum(n, t_cut) / vol) * math.exp(
-            _log_upper_gamma(s, n * t_cut) - s * math.log(n) - lg_s)
+        # int_T^inf t^(s-1) E(T) e^(-n (t - T)) dt = E(T) e^(nT) n^(-s) Gamma(s, nT)
+        return math.exp(_log_trace_envelope(n, math.log(t_cut)) + n * t_cut
+                        + _log_upper_gamma(s, n * t_cut) - s * math.log(n) - lg_s) / vol
 
-    # far tail via the spectral gap lambda_1 = n: the cutoff doubles from 30
-    # while lambda_1 t_cut <= 600 keeps e^(lambda_1 t_cut) finite
-    t_cut = min(30.0, 600.0 / n)
-    while (far := far_bound(t_cut)) > target and 2.0 * n * t_cut <= 600.0:
+    # the cutoff doubles from 30 while the far tail misses its share and the
+    # node weights e^(s u - lgamma(s)) stay finite; past that the final check refuses
+    t_cut = 30.0
+    while (far := far_bound(t_cut)) > target and s * math.log(2.0 * t_cut) - lg_s < 700.0:
         t_cut *= 2.0
 
     # per-node series accuracy target, so that the node errors add up to at
@@ -269,11 +265,11 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
 
     def series_node(t: float) -> tuple[float, float]:
         # the heat tail bound falls with t, so t >= t_min meets node_tol by k_cap
-        def bound(k):
-            return _heat_tail_bound(n, t, k) / vol
-
-        k = smallest_k(bound, node_tol, min(_heat_k_min(n, t), k_cap), k_cap)
-        return float(np.dot(w[:k], np.exp(-lam[:k] * t))) / vol, bound(k)
+        k = smallest_k(lambda j: _heat_tail_bound(n, t, j) / vol, node_tol,
+                       min(_heat_k_min(n, t), k_cap), k_cap)
+        e = np.exp(-lam[:k] * t)
+        return (float(np.dot(w[:k], e)) / vol, _heat_tail_bound(n, t, k) / vol
+                + _roundoff_allowance(float(np.dot(np.abs(w[:k]), e)) / vol, k))
 
     # Gauss-Legendre panels in u = log t on [t_min, t_cut], from one per 1.25;
     # jac carries the weights of t^(s-1) dt = e^(s u) du, divided by Gamma(s)
@@ -285,10 +281,12 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     u, w_u = _gl_nodes(u_lo, u_hi, panels)
     jac = w_u * np.exp(s * u - lg_s)
     f, berr = np.array([series_node(t) for t in np.exp(u).tolist()]).T
-    total = jac @ f
-    node_err = np.abs(jac) @ berr
-
-    err = float(head + far + node_err + quad)
-    if err > tol:
+    # roundoff: the exponent s u - lgamma(s) of each weight is off by about
+    # (2 |s u| + |lgamma(s)|) eps, and the sum by its allowance
+    mag = np.abs(jac * f)
+    err = float(head + far + np.abs(jac) @ berr + quad
+                + _EPS * (2.0 * np.abs(s * u) + abs(lg_s) + 4.0) @ mag
+                + _roundoff_allowance(float(np.sum(mag)), len(u)))
+    if not err <= tol:
         raise AccuracyError(f"certified error {err:.3e} exceeds budget {tol:.3e}")
-    return EvalResult(value=float(total), terms_used=len(u), tail_bound=err)
+    return EvalResult(value=float(jac @ f), terms_used=len(u), tail_bound=err)

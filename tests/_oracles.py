@@ -39,6 +39,17 @@ def ref_circle_heat(t: float, gamma: float) -> float:
         return float(mp.jtheta(3, mp.mpf(gamma) / 2, q) / (2 * mp.pi))
 
 
+def ref_circle_zeta_kernel(s: float, cos_gamma: float) -> float:
+    """Zeta kernel on S^1 as its Fourier cosine series, for s > 1/2.
+
+    (1/2pi) sum_{k>=1} 2 k^(-2s) cos k gamma, summed by mpmath ``nsum``.
+    """
+    with mp.workdps(DPS):
+        gamma = mp.acos(mp.mpf(cos_gamma))
+        total = mp.nsum(lambda k: 2 * k ** (-2 * mp.mpf(s)) * mp.cos(k * gamma), [1, mp.inf])
+        return float(total / (2 * mp.pi))
+
+
 def ref_mult(k: int, n: int) -> int:
     """Multiplicity of the k-th sphere eigenvalue as a sum of two binomials.
 

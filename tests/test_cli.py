@@ -490,6 +490,8 @@ def test_mellin_large_s_refuses_cleanly(capsys, s):
     (["specfun", "gegenbauer", "--k", "100000000", "--n", "3", "--t", "0.5"], "--max-k"),
     (["specfun", "gegenbauer", "--k", "11", "--n", "3", "--t", "0.5", "--max-k", "10"],
      "--max-k"),
+    (["spectrum", "--n", "3", "--kmax", "100000000"], "--max-k"),
+    (["spectrum", "--n", "3", "--kmax", "11", "--max-k", "10"], "--max-k"),
 ])
 def test_term_budget_caps_inputs(capsys, argv, message):
     assert cli.main(argv) == 1

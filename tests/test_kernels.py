@@ -28,7 +28,7 @@ from spherezeta.truncation import (
     TruncationPolicy,
 )
 from spherezeta.zeta import spectral_zeta
-from _oracles import ref_circle_heat, ref_mult
+from _oracles import ref_circle_heat, ref_circle_zeta_kernel, ref_mult
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 
@@ -203,14 +203,31 @@ def test_mellin_stable_under_node_doubling(monkeypatch):
     assert abs(base.value - fine.value) <= base.tail_bound + fine.tail_bound
 
 
-@pytest.mark.parametrize("s", [10.0, 30.0])
+@pytest.mark.parametrize("s", [10.0, 30.0, 60.0])
 def test_mellin_circle_large_s_certifies(s):
     # the lambda_1 = 1 mode of S^1 keeps mass far out, so the cutoff must
     # grow past 30 before the far tail fits its share
     qq = KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY)
-    bridged, direct = mellin_zeta_kernel(s, qq), zeta_kernel(s, qq)
+    bridged = mellin_zeta_kernel(s, qq)
     assert bridged.tail_bound <= MELLIN_POLICY.tol
-    assert abs(bridged.value - direct.value) <= bridged.tail_bound + direct.tail_bound
+    assert abs(bridged.value - ref_circle_zeta_kernel(s, 0.5)) <= bridged.tail_bound
+
+
+@pytest.mark.parametrize("cg", [-0.6, 0.3, 0.5, 0.9])
+def test_mellin_bound_counts_roundoff(cg):
+    # the weights e^(s u - lgamma(s)) and the node sum carry a few 1e-16 of
+    # float64 roundoff here, over 60 times a bound that leaves roundoff out
+    qq = KernelQuery(n=1, cos_gamma=cg, policy=TruncationPolicy(max_k=2_000_000, tol=1e-10))
+    bridged = mellin_zeta_kernel(25.5, qq)
+    assert abs(bridged.value - ref_circle_zeta_kernel(25.5, cg)) <= bridged.tail_bound
+
+
+def test_mellin_refuses_where_weights_would_overflow():
+    # S^1 at s = 1e4 needs T > s for the far tail, but the cutoff stops
+    # doubling once e^(s log 2T - lgamma(s)) would overflow; the refusal must
+    # be an AccuracyError, never a NaN value
+    with pytest.raises(AccuracyError, match="exceeds budget"):
+        mellin_zeta_kernel(1e4, KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY))
 
 
 def test_heat_kernel_decay_rate_is_spectral_gap():
@@ -288,9 +305,16 @@ def test_tiny_time_refuses_at_term_budget(t, n):
 @pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 1.5, 2.5, 5.0, 10.6, 30.5, 60.0])
 def test_upper_gamma_bound_against_gammaincc(s):
     # the grid covers x <= s - 1 (capped at Gamma(s)) for s >= 2.5, and
-    # x = lambda_1 T up to the 600 the Mellin bridge allows
-    for x in (0.05, 0.3, 1.0, 2.0, 4.5, 10.0, 30.0, 31.0, 60.0, 90.0, 300.0, 600.0):
-        log_exact = math.log(gammaincc(s, x)) + math.lgamma(s)
+    # x = lambda_1 T past 600 (n = 40 starts the Mellin cutoff at x = 1200);
+    # mpmath stands in where gammaincc underflows
+    for x in (0.05, 0.3, 1.0, 2.0, 4.5, 10.0, 30.0, 31.0, 60.0, 90.0, 300.0, 600.0,
+              1200.0, 2400.0):
+        q = gammaincc(s, x)
+        if q > 1e-290:
+            log_exact = math.log(q) + math.lgamma(s)
+        else:
+            with mp.workdps(30):
+                log_exact = float(mp.log(mp.gammainc(s, x)))
         log_bound = _log_upper_gamma(s, x)
         assert log_bound >= log_exact + math.log1p(-1e-12), (s, x)
         if x > s:
@@ -337,12 +361,21 @@ def test_heat_tail_bound_dominates_exact_tail(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
 def test_trace_envelope_dominates_exact_trace(n):
-    # the Mellin head and quadrature bounds both rest on this envelope
+    # the Mellin head, quadrature and far-tail bounds all rest on this envelope
     g, s = math.gamma(n / 2.0), n / 2.0 + 0.75
-    for tau in (1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0):
-        envelope = 2.0**n * (math.exp(-tau) + g * tau ** (-n / 2.0) / 2.0)
+
+    def uncapped(tau):
+        return 2.0**n * (math.exp(-tau) + g * tau ** (-n / 2.0) / 2.0)
+
+    for tau in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 30.0):
+        envelope = uncapped(tau)
+        if tau >= 0.5:  # lambda_k >= n caps it from tau = 1/2 on
+            envelope = min(envelope, uncapped(0.5) * math.exp(-n * (tau - 0.5)))
         assert math.exp(_log_trace_envelope(n, math.log(tau))) == pytest.approx(envelope)
         assert envelope >= _exact_heat_tail(n, tau, 0), tau
         # its integral against t^(s-1) over (0, tau], with e^(-t) <= 1
         head = 2.0**n * (tau**s / s + g * tau ** (s - n / 2.0) / (2.0 * s - n))
         assert math.exp(_log_trace_envelope(n, math.log(tau), s)) == pytest.approx(head)
+    # _quadrature_bound takes its maximum at the smallest Re t of each ellipse
+    log_env = _log_trace_envelope(n, np.linspace(-10.0, 5.0, 3001))
+    assert np.all(np.diff(log_env) <= 0.0)
