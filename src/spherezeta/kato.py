@@ -21,30 +21,35 @@ at fourth order in the step.  sgn acts entrywise as conj(psi)/|psi| with
 sgn(0) = 0; the regularized variant conj(psi)/sqrt(|psi|^2 + eps^2) is
 smooth, bounded by 1, and recovers sgn as eps -> 0.
 
-Each operator computes its symmetric eigendecomposition L = U diag(w) U^T
-once, on first use, and keeps it (``SymmetricOperator.eigh``): semigroups,
-the free spectrum of the trace check, the X side of the Duhamel integral
-and the PSD flag all read the same decomposition.  Semigroups are formed
-by spectral calculus and then explicitly re-symmetrized so the
-exact-symmetry invariant survives roundoff.
+Each operator takes its eigendecomposition L = U diag(w) U^T once, on
+first use, and keeps it (``SymmetricOperator.eigh``); semigroups and the
+X side of the Duhamel integral read it.  Named graphs have it in closed
+form: real Fourier modes with eigenvalues 4 sin^2(pi k/m) for the cycle,
+the constant vector and a Helmert basis with eigenvalue m for K_m (Chung,
+Spectral Graph Theory, 1997, sec. 1.2); other operators call LAPACK.
+The trace check and the PSD flag need only eigenvalues
+(``SymmetricOperator.spectrum``).  Semigroups are re-symmetrized exactly.
 
 The pointwise, pairing and positivity checks take either one state of
 length m or an m x T block of states as columns; a block is pushed through
 L or e^{-tL} by a single real matrix product on [Re psi | Im psi | r].
 
 The Simpson sum  sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X},  H = X + Y, is
-collapsed into the two eigenbases:  with A[a,j] = e^{-(t-s_j) w_H[a]},
-B[b,j] = e^{-s_j w_X[b]} and M = A diag(omega) B^T it equals
-U_H [M o (U_H^T Y U_X)] U_X^T  (o the entrywise product), which costs
-O(m^3 + S m^2) for S steps instead of O(S m^3) and keeps the Simpson
-weights, hence the fourth-order convergence.
+collapsed into the two eigenbases:  with M[a,b] = sum_j omega_j
+e^{-(t-s_j) w_H[a]} e^{-s_j w_X[b]} it equals U_H [M o (U_H^T Y U_X)] U_X^T
+(o the entrywise product), O(m^3 + S m^2) for S steps.  The Duhamel
+residual is normed in that mixed basis, where with G = U_H^T U_X it is
+G o (e^{-t w_H[a]} - e^{-t w_X[b]}) + M o (U_H^T Y U_X): two products.
+Spectral norms are c sqrt(lambda_max(B^T B)) with c = max|R| and B = R / c,
+no SVD; the Frobenius norm would overstate them by up to sqrt(m).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,18 +60,30 @@ _PSD_SLACK = 1e-10
 class SymmetricOperator:
     dim: int
     entries: np.ndarray
+    # (w, u) of a named graph, built on the first read of eigh
+    closed_eigh: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False, compare=False)
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, u) with entries = u diag(w) u^T, w ascending; computed once."""
-        w, u = np.linalg.eigh(self.entries)
+        w, u = self.closed_eigh() if self.closed_eigh else np.linalg.eigh(self.entries)
         w.setflags(write=False)
         u.setflags(write=False)
         return w, u
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues: eigh's if known or closed-form, else eigvalsh."""
+        if self.closed_eigh or "eigh" in self.__dict__:
+            return self.eigh[0]
+        w = np.linalg.eigvalsh(self.entries)
+        w.setflags(write=False)
+        return w
+
     @property
     def psd(self) -> bool:
-        return bool(self.eigh[0][0] >= -_PSD_SLACK)
+        return bool(self.spectrum[0] >= -_PSD_SLACK)
 
 
 @dataclass(frozen=True)
@@ -127,7 +144,7 @@ def symmetric_operator(entries, require_psd: bool = False) -> SymmetricOperator:
     op = SymmetricOperator(dim=mat.shape[0], entries=out)
     if require_psd and not op.psd:
         raise ValueError(
-            f"operator is not positive semidefinite (min eig {op.eigh[0][0]:.3e})")
+            f"operator is not positive semidefinite (min eig {op.spectrum[0]:.3e})")
     return op
 
 
@@ -135,6 +152,8 @@ def potential(diagonal) -> Potential:
     diag = np.asarray(diagonal, dtype=float)
     if diag.ndim != 1 or diag.size == 0:
         raise ValueError("potential must be a nonempty vector")
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("potential entries must be finite")
     if np.any(diag < 0.0):
         raise ValueError("potential entries must be nonnegative")
     out = diag.copy()
@@ -150,7 +169,21 @@ def cycle_laplacian(m: int) -> SymmetricOperator:
     idx = np.arange(m)
     mat[idx, (idx + 1) % m] = -1.0
     mat[idx, (idx - 1) % m] = -1.0
-    return symmetric_operator(mat)
+    return replace(symmetric_operator(mat), closed_eigh=partial(_cycle_eigh, m))
+
+
+def _cycle_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real Fourier modes 1/sqrt(m); sqrt(2/m) cos, sin of 2 pi k j/m for
+    0 < k < m/2; (-1)^j/sqrt(m) for even m; eigenvalues 4 sin^2(pi k/m)."""
+    j, k = np.arange(m), np.arange(1, (m + 1) // 2)
+    # k j mod m is exact, so one cos/sin table serves every mode
+    wave = (math.sqrt(2.0 / m) * np.exp(2j * np.pi * j / m))[np.outer(j, k) % m]
+    u = np.empty((m, m))
+    u[:, 0] = 1.0 / math.sqrt(m)
+    u[:, 1:2 * k.size + 1:2], u[:, 2:2 * k.size + 1:2] = wave.real, wave.imag
+    if m % 2 == 0:
+        u[:, -1] = (1 - 2 * (j % 2)) / math.sqrt(m)
+    return 4.0 * np.sin(np.pi * ((j + 1) // 2) / m) ** 2, u
 
 
 def complete_laplacian(m: int) -> SymmetricOperator:
@@ -158,7 +191,19 @@ def complete_laplacian(m: int) -> SymmetricOperator:
     if m < 2:
         raise ValueError("complete graph needs at least 2 vertices")
     mat = m * np.eye(m) - np.ones((m, m))
-    return symmetric_operator(mat)
+    return replace(symmetric_operator(mat), closed_eigh=partial(_complete_eigh, m))
+
+
+def _complete_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant vector (eigenvalue 0), then the Helmert columns
+    (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)), each with eigenvalue m."""
+    k = np.arange(1, m)
+    c = 1.0 / np.sqrt(k * (k + 1.0))
+    u = np.empty((m, m))
+    u[:, 0] = 1.0 / math.sqrt(m)
+    u[:, 1:] = np.triu(np.broadcast_to(c, (m, m - 1)))
+    u[k, k] = -k * c
+    return np.concatenate(([0.0], np.full(m - 1, float(m)))), u
 
 
 def random_graph_laplacian(m: int, p: float, seed: int) -> SymmetricOperator:
@@ -328,7 +373,7 @@ def trace_domination_check(op: SymmetricOperator, pot: Potential, t: float,
     if pot.dim != op.dim:
         raise ValueError("potential length does not match operator dimension")
     _require_time(t)
-    w_free = op.eigh[0]
+    w_free = op.spectrum
     w_full = np.linalg.eigvalsh(op.entries + np.diag(pot.diagonal))
     tr_free = float(np.sum(np.exp(-t * w_free)))
     tr_full = float(np.sum(np.exp(-t * w_full)))
@@ -338,21 +383,32 @@ def trace_domination_check(op: SymmetricOperator, pot: Potential, t: float,
                        trace_gap=tr_free - tr_full, eig_min_gap=eig_gap, tol=tol)
 
 
-def _simpson_integral(h_eig, x_eig, ydiag: np.ndarray, t: float,
-                      steps: int) -> np.ndarray:
-    """Composite Simpson sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X}.
-
-    Evaluated as U_H [M o (U_H^T Y U_X)] U_X^T with
-    M[a, b] = sum_j omega_j e^{-(t-s_j) w_H[a]} e^{-s_j w_X[b]}.
-    """
-    (wh, uh), (wx, ux) = h_eig, x_eig
+def _simpson_kernel(wh: np.ndarray, wx: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """M[a, b] = sum_j omega_j e^{-(t-s_j) w_H[a]} e^{-s_j w_X[b]}, composite Simpson."""
     grid = np.linspace(0.0, t, steps + 1)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (t / steps) / 3.0
-    kernel = (np.exp(-np.outer(wh, t - grid)) * weights) @ np.exp(-np.outer(wx, grid)).T
-    return uh @ (kernel * ((uh.T * ydiag) @ ux)) @ ux.T
+    return (np.exp(-np.outer(wh, t - grid)) * weights) @ np.exp(-np.outer(wx, grid)).T
+
+
+def _simpson_integral(h_eig, x_eig, ydiag: np.ndarray, t: float,
+                      steps: int) -> np.ndarray:
+    """Composite Simpson sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X},
+    evaluated as U_H [M o (U_H^T Y U_X)] U_X^T."""
+    (wh, uh), (wx, ux) = h_eig, x_eig
+    return uh @ (_simpson_kernel(wh, wx, t, steps) * ((uh.T * ydiag) @ ux)) @ ux.T
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value c sqrt(lambda_max(b^T b)), b = a / c, c = max|a|;
+    the scaling keeps the Gram matrix clear of under- and overflow.  Overwrites a."""
+    c = float(max(a.max(), -a.min()))
+    if c == 0.0:
+        return 0.0
+    a /= c
+    return c * math.sqrt(max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0))
 
 
 def duhamel_residual(x_op: SymmetricOperator, y_pot: Potential, t: float,
@@ -369,15 +425,23 @@ def duhamel_residual(x_op: SymmetricOperator, y_pot: Potential, t: float,
         raise ValueError("steps must be a positive even integer")
     wx, ux = x_op.eigh
     wh, uh = np.linalg.eigh(x_op.entries + np.diag(y_pot.diagonal))
-    integral = _simpson_integral((wh, uh), (wx, ux), y_pot.diagonal, t, steps)
-    resid = (uh * np.exp(-t * wh)) @ uh.T - (ux * np.exp(-t * wx)) @ ux.T + integral
-    return float(np.linalg.norm(resid, 2))
+    # ||R|| = ||U_H^T R U_X|| = ||G o (e^{-t w_H} - e^{-t w_X}) + M o (U_H^T Y U_X)||
+    # with G = U_H^T U_X, the differences taken over all pairs (a, b)
+    resid = _simpson_kernel(wh, wx, t, steps)
+    resid *= (uh.T * y_pot.diagonal) @ ux
+    overlap = uh.T @ ux
+    overlap *= np.subtract.outer(np.exp(-t * wh), np.exp(-t * wx))
+    resid += overlap
+    return _spectral_norm(resid)
 
 
 def commute_residual(op: SymmetricOperator, t: float) -> float:
-    """Spectral norm of L e^{-tL} - e^{-tL} L; zero in exact arithmetic."""
-    e = semigroup(op, t).entries
-    return float(np.linalg.norm(op.entries @ e - e @ op.entries, 2))
+    """Spectral norm of L e^{-tL} - e^{-tL} L; zero in exact arithmetic.
+
+    L and e^{-tL} are both exactly symmetric, so e^{-tL} L = (L e^{-tL})^T.
+    """
+    p = op.entries @ semigroup(op, t).entries
+    return _spectral_norm(p - p.T)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -254,6 +254,16 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     while (far := far_bound(t_cut)) > target and s * math.log(2.0 * t_cut) - lg_s < 700.0:
         t_cut *= 2.0
 
+    # Gauss-Legendre panels in u = log t on [t_min, t_cut], from one per 1.25
+    u_lo, u_hi = math.log(t_min), math.log(t_cut)
+    panels = max(2, math.ceil((u_hi - u_lo) / 1.25))
+    while ((quad := _quadrature_bound(n, s, lg_s + math.log(vol), u_lo, u_hi, panels))
+           > target and 2 * panels <= _MAX_PANELS):
+        panels *= 2
+    if not (bound := head + far + quad) <= tol:
+        # the node series and roundoff only add to this: refuse before them
+        raise AccuracyError(f"certified error {bound:.3e} exceeds budget {tol:.3e}")
+
     # per-node series accuracy target, so that the node errors add up to at
     # most tol/4; capping the exponent below overflow only lowers it
     node_tol = target * s * math.exp(min(lg_s - s * math.log(t_cut), 700.0))
@@ -271,13 +281,7 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
         return (float(np.dot(w[:k], e)) / vol, _heat_tail_bound(n, t, k) / vol
                 + _roundoff_allowance(float(np.dot(np.abs(w[:k]), e)) / vol, k))
 
-    # Gauss-Legendre panels in u = log t on [t_min, t_cut], from one per 1.25;
     # jac carries the weights of t^(s-1) dt = e^(s u) du, divided by Gamma(s)
-    u_lo, u_hi = math.log(t_min), math.log(t_cut)
-    panels = max(2, math.ceil((u_hi - u_lo) / 1.25))
-    while ((quad := _quadrature_bound(n, s, lg_s + math.log(vol), u_lo, u_hi, panels))
-           > target and 2 * panels <= _MAX_PANELS):
-        panels *= 2
     u, w_u = _gl_nodes(u_lo, u_hi, panels)
     jac = w_u * np.exp(s * u - lg_s)
     f, berr = np.array([series_node(t) for t in np.exp(u).tolist()]).T

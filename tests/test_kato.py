@@ -480,8 +480,8 @@ def eig_calls(monkeypatch):
 
 
 def test_positivity_block_decomposes_once(eig_calls):
-    op = cycle_laplacian(16)
-    assert eig_calls == []  # construction no longer probes the spectrum
+    op = random_graph_laplacian(16, 0.3, seed=16)
+    assert eig_calls == []  # construction does not probe the spectrum
     rng = np.random.default_rng(5)
     psi, _ = _block_and_states(op, rng, trials=10)
     assert positivity_domination_check(op, 1.0, psi).ok
@@ -490,17 +490,83 @@ def test_positivity_block_decomposes_once(eig_calls):
     name, mat = eig_calls[0]
     assert name == "eigh" and np.array_equal(mat, op.entries)
     assert commute_residual(op, 2.0) <= 1e-12
-    assert len(eig_calls) == 1
+    # the commutator's norm needs only the eigenvalues of its Gram matrix
+    assert [name for name, _ in eig_calls] == ["eigh", "eigvalsh"]
+
+
+@pytest.mark.parametrize("op", [cycle_laplacian(16), cycle_laplacian(17),
+                                complete_laplacian(16)])
+def test_named_graphs_take_no_eigh(eig_calls, op):
+    psi, _ = _block_and_states(op, np.random.default_rng(6), trials=10)
+    assert positivity_domination_check(op, 1.0, psi).ok
+    assert commute_residual(op, 2.0) <= 1e-12
+    assert op.psd
+    assert "eigh" not in [name for name, _ in eig_calls]
 
 
 def test_duhamel_and_trace_decomposition_counts(eig_calls):
-    op = cycle_laplacian(12)
+    op = random_graph_laplacian(12, 0.3, seed=12)
     v = potential(np.linspace(0.0, 1.0, 12))
     duhamel_residual(op, v, 1.0, steps=16)
-    assert [name for name, _ in eig_calls] == ["eigh", "eigh"]
+    # X and X + Y once each, then the Gram matrix of the residual
+    assert [name for name, _ in eig_calls] == ["eigh", "eigh", "eigvalsh"]
     del eig_calls[:]
     for t in (0.5, 1.0, 2.0):
-        assert trace_domination_check(cycle_laplacian(12), v, t).ok
+        fresh = random_graph_laplacian(12, 0.3, seed=12)
+        assert trace_domination_check(fresh, v, t).ok
+        # the free side of a fresh operator takes eigenvalues only
+        assert eig_calls[-2][0] == "eigvalsh"
+        assert np.array_equal(eig_calls[-2][1], fresh.entries)
         # the free spectrum is the operator's cached one for every potential
         assert trace_domination_check(op, potential(np.full(12, t)), t).ok
-    assert [name for name, _ in eig_calls] == ["eigh", "eigvalsh", "eigvalsh"] * 3
+    assert [name for name, _ in eig_calls] == ["eigvalsh", "eigvalsh", "eigvalsh"] * 3
+    del eig_calls[:]
+    assert trace_domination_check(cycle_laplacian(12), v, 1.0).ok
+    assert [name for name, _ in eig_calls] == ["eigvalsh"]  # L + V only
+
+
+@pytest.mark.parametrize("builder, m",
+                         [(cycle_laplacian, m) for m in (3, 4, 5, 8, 12, 64, 255, 256)]
+                         + [(complete_laplacian, m) for m in (2, 3, 8, 64, 256)])
+def test_closed_form_spectra(builder, m):
+    op = builder(m)
+    scale = float(np.max(np.abs(op.entries)))
+    w, u = op.eigh
+    assert np.max(np.abs(u.T @ u - np.eye(m))) <= 1e-14
+    assert np.max(np.abs((u * w) @ u.T - op.entries)) <= 1e-15 * m * scale
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(op.entries))) <= 1e-13 * scale
+
+
+def _norm_cases():
+    rng = np.random.default_rng(13)
+    base = rng.standard_normal((24, 24))
+    cases = [base * scale for scale in (1e-310, 1e-300, 1.0, 1e200, 1e300)]
+    return cases + [base - base.T, np.outer(rng.standard_normal(24), rng.standard_normal(24))]
+
+
+@pytest.mark.parametrize("a", _norm_cases())
+def test_spectral_norm_matches_svd(a):
+    ref = np.linalg.norm(a, 2)
+    assert abs(kato._spectral_norm(a.copy()) - ref) <= 1e-13 * ref
+    assert kato._spectral_norm(np.zeros((5, 5))) == 0.0
+
+
+@pytest.mark.parametrize("t, steps", [(1.0, 16), (0.3, 64)])
+def test_mixed_basis_duhamel_matches_full_basis(t, steps):
+    for op, v in _duhamel_setups():
+        wx, ux = op.eigh
+        wh, uh = np.linalg.eigh(op.entries + np.diag(v.diagonal))
+        integral = kato._simpson_integral((wh, uh), (wx, ux), v.diagonal, t, steps)
+        full = (uh * np.exp(-t * wh)) @ uh.T - (ux * np.exp(-t * wx)) @ ux.T + integral
+        assert abs(duhamel_residual(op, v, t, steps) - np.linalg.norm(full, 2)) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_potential_rejects_nonfinite(bad):
+    diag = np.ones(8)
+    diag[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        potential(diag)
+    with pytest.raises(ValueError, match="finite"):
+        potential(np.full(8, bad))

@@ -230,6 +230,18 @@ def test_mellin_refuses_where_weights_would_overflow():
         mellin_zeta_kernel(1e4, KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY))
 
 
+@pytest.mark.parametrize("s", [100.0, 1e4])
+def test_mellin_refuses_before_the_node_series(monkeypatch, s):
+    # on S^1 head + far tail + quadrature alone exceed tol here, so the
+    # bridge refuses without building the spectrum for the node series
+    def unreachable(*args):
+        raise AssertionError("node series built for a refused query")
+
+    monkeypatch.setattr(kernels, "_spectral_arrays", unreachable)
+    with pytest.raises(AccuracyError, match="exceeds budget"):
+        mellin_zeta_kernel(s, KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY))
+
+
 def test_heat_kernel_decay_rate_is_spectral_gap():
     # the k >= 1 remainder of the heat kernel decays like e^{-lambda_1 t}
     for n in (1, 2):
