@@ -1,4 +1,4 @@
-"""Golden CLI outputs: one command per subcommand, stdout pinned byte for byte.
+"""Golden CLI outputs: every subcommand and kato check, stdout pinned byte for byte.
 
 ``golden_cli.txt`` holds blocks of a ``$ spherezeta ...`` line followed by
 the exact stdout of that command.  A change that moves any of these
@@ -19,7 +19,8 @@ from spherezeta import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.txt")
 
-# the README examples, with a cycle graph in place of the file graph
+# the README examples, with a cycle graph in place of the file graph, then
+# the remaining kato checks, majorize --weak and the other kernel/zeta forms
 COMMANDS = [
     "spectrum --n 3 --kmax 10",
     "zeta --n 2 --s 2.0 --form closed",
@@ -32,6 +33,16 @@ COMMANDS = [
     "kato pointwise --graph cycle:12 --trials 50 --seed 7",
     "kato duhamel --graph cycle:12 --steps 256",
     "specfun gegenbauer --k 3 --n 2 --t 0.5",
+    "kato pairing --graph cycle:12 --trials 20 --seed 3",
+    "kato positivity --graph complete:8 --trials 10 --seed 2 --t 0.5",
+    "kato trace --graph cycle:10 --trials 5 --seed 1",
+    "kato trace --graph complete:6 --trials 5 --seed 4",
+    "kato commute --graph cycle:16",
+    "kato commute --graph complete:8",
+    "majorize --x 3,2 --y 2,2 --weak",
+    "kernel --n 3 --kind zeta --s 3.0 --cos-gamma 0.25",
+    "zeta --n 3 --s 2.5 --form hurwitz",
+    "specfun hurwitz --s 2.5 --a 0.5",
 ]
 
 
