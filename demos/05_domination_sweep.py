@@ -15,7 +15,7 @@ Run from the repository root:
 
 import numpy as np
 
-from spherezeta.majorize import majorizes, partial_sum_domination, weak_majorizes
+from spherezeta.majorize import partial_sum_domination, weak_majorizes
 from spherezeta.spectrum import spectrum_slice
 from spherezeta.zeta import compare_zeta_pair
 
@@ -56,22 +56,21 @@ def main() -> None:
     for step in range(3):
         perm = rng.permutation(len(x))
         y = 0.5 * y + 0.5 * y[perm]
-        rep = majorizes(x, y)
+        rep = weak_majorizes(x, y)
         print(f"  after averaging step {step + 1}: y = "
               f"{np.round(y, 4).tolist()}, x majorizes y: {rep.verdict}")
     mean = np.full_like(x, x.mean())
     print(f"  the flat vector {mean.tolist()} is the bottom of the order: "
-          f"{majorizes(x, mean).verdict}")
+          f"{weak_majorizes(x, mean).verdict}")
 
     # ------------------------------------------------------------------
     # 4. Weak vs full majorization
     # ------------------------------------------------------------------
-    a, b = [3.0, 2.0], [2.0, 2.0]
-    full = majorizes(a, b)
-    weak = weak_majorizes(a, b)
-    print(f"\n{a} vs {b}: full verdict '{full.verdict}', "
-          f"weak verdict '{weak.verdict}'")
-    print(f"  (totals differ by {full.total_gap}, so only the weak order holds)")
+    for a, b in (([3.0, 1.0], [2.0, 2.0]), ([3.0, 2.0], [2.0, 2.0])):
+        rep = weak_majorizes(a, b)
+        print(f"\n{a} vs {b}: verdict '{rep.verdict}', totals differ by "
+              f"{rep.total_gap}")
+    print("  (equal totals give full majorization; otherwise only the weak order holds)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from .truncation import (
     TruncationPolicy,
 )
 from .specfun import (
-    gamma_fn,
     gegenbauer_ratio,
     gegenbauer_ratio_series,
     hurwitz_via_binomial,
@@ -45,10 +44,7 @@ from .kernels import (
 from .majorize import (
     DominationReport,
     MajorizationReport,
-    majorizes,
     partial_sum_domination,
-    reciprocal_order_probe,
-    schur_convex_probe,
     weak_majorizes,
 )
 from .kato import (
@@ -68,7 +64,6 @@ from .kato import (
     potential,
     random_graph_laplacian,
     random_state,
-    regularized_abs,
     semigroup,
     sign_vector,
     symmetric_operator,
@@ -79,22 +74,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "DEFAULT_POLICY", "EvalResult", "TruncationError",
-    "TruncationPolicy", "gamma_fn", "gegenbauer_ratio",
-    "gegenbauer_ratio_series", "hurwitz_via_binomial", "hurwitz_zeta",
-    "riemann_zeta",
+    "TruncationPolicy", "gegenbauer_ratio", "gegenbauer_ratio_series",
+    "hurwitz_via_binomial", "hurwitz_zeta", "riemann_zeta",
     "SphereSpec", "SpectrumEntry", "eigenvalue", "multiplicity",
     "multiplicity_product_form", "shifted_eigenvalue", "sphere_spec",
     "spectrum_slice", "ZetaPair", "closed_form_Z", "compare_zeta_pair",
     "hurwitz_style_Z", "regularized_zeta", "spectral_zeta", "KernelQuery",
     "circle_heat_oracle", "heat_kernel", "heat_trace", "mellin_zeta_kernel",
-    "zeta_kernel", "DominationReport",
-    "MajorizationReport", "majorizes", "partial_sum_domination",
-    "reciprocal_order_probe", "schur_convex_probe", "weak_majorizes",
+    "zeta_kernel", "DominationReport", "MajorizationReport",
+    "partial_sum_domination", "weak_majorizes",
     "EntrywiseReport", "PairingReport", "Potential", "SymmetricOperator",
     "TraceReport", "commute_residual", "complete_laplacian",
     "cycle_laplacian", "duhamel_residual", "generator_pairing_check",
     "is_graph_laplacian", "kato_pointwise_check",
     "positivity_domination_check", "potential", "random_graph_laplacian",
-    "random_state", "regularized_abs", "semigroup", "sign_vector",
-    "symmetric_operator", "trace_domination_check",
+    "random_state", "semigroup", "sign_vector", "symmetric_operator",
+    "trace_domination_check",
 ]

@@ -18,8 +18,7 @@ together with the Duhamel identity
 
 whose integral is evaluated by composite Simpson so the residual shrinks
 at fourth order in the step.  sgn acts entrywise as conj(psi)/|psi| with
-sgn(0) = 0; the regularized variant conj(psi)/sqrt(|psi|^2 + eps^2) is
-smooth, bounded by 1, and recovers sgn as eps -> 0.
+sgn(0) = 0.
 
 Each operator takes its eigendecomposition L = U diag(w) U^T once, on
 first use, and keeps it (``SymmetricOperator.eigh``); semigroups and the
@@ -27,8 +26,7 @@ X side of the Duhamel integral read it.  Named graphs have it in closed
 form: real Fourier modes with eigenvalues 4 sin^2(pi k/m) for the cycle,
 the constant vector and a Helmert basis with eigenvalue m for K_m (Chung,
 Spectral Graph Theory, 1997, sec. 1.2); other operators call LAPACK.
-The trace check and the PSD flag need only eigenvalues
-(``SymmetricOperator.spectrum``).  Semigroups are re-symmetrized exactly.
+The trace check needs only eigenvalues (``SymmetricOperator.spectrum``).  Semigroups are re-symmetrized exactly.
 
 The pointwise, pairing and positivity checks take either one state of
 length m or an m x T block of states as columns; a block is pushed through
@@ -52,8 +50,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
-
-_PSD_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,6 @@ class SymmetricOperator:
         w = np.linalg.eigvalsh(self.entries)
         w.setflags(write=False)
         return w
-
-    @property
-    def psd(self) -> bool:
-        return bool(self.spectrum[0] >= -_PSD_SLACK)
 
 
 @dataclass(frozen=True)
@@ -124,12 +116,9 @@ class TraceReport:
     tol: float
 
 
-def symmetric_operator(entries, require_psd: bool = False) -> SymmetricOperator:
-    """Wrap a matrix after validating exact symmetry (and PSD if asked).
-
-    Only require_psd=True decomposes the matrix here; otherwise the
-    eigendecomposition waits for its first use.
-    """
+def symmetric_operator(entries) -> SymmetricOperator:
+    """Wrap a matrix after validating exact symmetry; the eigendecomposition
+    waits for its first use."""
     mat = np.asarray(entries, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
@@ -141,11 +130,7 @@ def symmetric_operator(entries, require_psd: bool = False) -> SymmetricOperator:
         raise ValueError("operator entries are not exactly symmetric")
     out = mat.copy()
     out.setflags(write=False)
-    op = SymmetricOperator(dim=mat.shape[0], entries=out)
-    if require_psd and not op.psd:
-        raise ValueError(
-            f"operator is not positive semidefinite (min eig {op.spectrum[0]:.3e})")
-    return op
+    return SymmetricOperator(dim=mat.shape[0], entries=out)
 
 
 def potential(diagonal) -> Potential:
@@ -227,37 +212,20 @@ def random_graph_laplacian(m: int, p: float, seed: int) -> SymmetricOperator:
     return symmetric_operator(lap)
 
 
-def is_graph_laplacian(op: SymmetricOperator, tol: float = 0.0) -> bool:
+def is_graph_laplacian(op: SymmetricOperator) -> bool:
     """Nonpositive off-diagonal entries; the class the pointwise bound needs."""
     off = op.entries - np.diag(np.diag(op.entries))
-    return bool(np.all(off <= tol))
+    return bool(np.all(off <= 0.0))
 
 
-def sign_vector(psi, mode: str = "exact", eps: float | None = None) -> np.ndarray:
-    """Entrywise sgn: conj(psi)/|psi| with sgn(0) = 0.
-
-    mode="regularized" smooths through zeros: conj(psi)/sqrt(|psi|^2+eps^2).
-    """
+def sign_vector(psi) -> np.ndarray:
+    """Entrywise sgn: conj(psi)/|psi| with sgn(0) = 0."""
     v = np.asarray(psi, dtype=complex)
-    if mode == "exact":
-        mag = np.abs(v)
-        out = np.zeros_like(v)
-        nz = mag > 0.0
-        out[nz] = np.conj(v[nz]) / mag[nz]
-        return out
-    if mode == "regularized":
-        if eps is None or not (eps > 0.0):
-            raise ValueError("regularized mode requires eps > 0")
-        return np.conj(v) / np.sqrt(np.abs(v) ** 2 + eps * eps)
-    raise ValueError("mode must be 'exact' or 'regularized'")
-
-
-def regularized_abs(psi, eps: float) -> np.ndarray:
-    """sqrt(|psi|^2 + eps^2): smooth, >= |psi|, -> |psi| as eps -> 0."""
-    if not (eps >= 0.0):
-        raise ValueError("eps must be nonnegative")
-    v = np.asarray(psi, dtype=complex)
-    return np.sqrt(np.abs(v) ** 2 + eps * eps)
+    mag = np.abs(v)
+    out = np.zeros_like(v)
+    nz = mag > 0.0
+    out[nz] = np.conj(v[nz]) / mag[nz]
+    return out
 
 
 def _require_time(t: float) -> None:
@@ -391,14 +359,6 @@ def _simpson_kernel(wh: np.ndarray, wx: np.ndarray, t: float, steps: int) -> np.
     weights[2:-1:2] = 2.0
     weights *= (t / steps) / 3.0
     return (np.exp(-np.outer(wh, t - grid)) * weights) @ np.exp(-np.outer(wx, grid)).T
-
-
-def _simpson_integral(h_eig, x_eig, ydiag: np.ndarray, t: float,
-                      steps: int) -> np.ndarray:
-    """Composite Simpson sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X},
-    evaluated as U_H [M o (U_H^T Y U_X)] U_X^T."""
-    (wh, uh), (wx, ux) = h_eig, x_eig
-    return uh @ (_simpson_kernel(wh, wx, t, steps) * ((uh.T * ydiag) @ ux)) @ ux.T
 
 
 def _spectral_norm(a: np.ndarray) -> float:

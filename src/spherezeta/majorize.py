@@ -5,11 +5,6 @@ decreasingly sorted rearrangements; ties are broken by original index
 (numpy's stable sort on the negated array).  Tolerances are absolute but
 default to 1e-12 relative to the larger total, so reports stay meaningful
 for sequences that are not O(1).
-
-``reciprocal_order_probe`` exists to interrogate the tempting claim that
-x majorizing y forces the reciprocals to reorder the other way; it reports
-what actually happens and asserts nothing (the claim fails already for
-x = (3, 1), y = (2, 2)).
 """
 
 from __future__ import annotations
@@ -91,11 +86,6 @@ def weak_majorizes(x, y, tol: float | None = None) -> MajorizationReport:
     )
 
 
-def majorizes(x, y, tol: float | None = None) -> MajorizationReport:
-    """Full majorization report: prefix domination plus equal totals."""
-    return weak_majorizes(x, y, tol=tol)
-
-
 def partial_sum_domination(a, b, tol: float | None = None) -> DominationReport:
     """Check sum_{i<=K} a_i <= sum_{i<=K} b_i for every K, in natural order.
 
@@ -114,30 +104,3 @@ def partial_sum_domination(a, b, tol: float | None = None) -> DominationReport:
     return DominationReport(ok=first is None, prefix_gaps=gaps,
                             first_violation=first, tol=t)
 
-
-def schur_convex_probe(f, pairs, tol: float = 1e-9) -> list[bool]:
-    """For each (x, y) with x majorizing y, test f(x) >= f(y) - tol.
-
-    Raises if some pair is not actually a majorization pair; a Schur
-    convexity probe on unordered data would be vacuous.
-    """
-    out = []
-    for x, y in pairs:
-        rep = majorizes(x, y)
-        if rep.verdict != "majorizes":
-            raise ValueError("probe pair is not a majorization pair")
-        out.append(bool(f(np.asarray(x, float)) >= f(np.asarray(y, float)) - tol))
-    return out
-
-
-def reciprocal_order_probe(x, y, tol: float | None = None) -> MajorizationReport:
-    """Given x majorizing y (all entries positive), report whether 1/y
-    weakly majorizes 1/x.  Diagnostic only: the implication is false in
-    general, and the returned report simply records the outcome."""
-    xv, yv = _as_vector(x, "x"), _as_vector(y, "y")
-    if np.any(xv <= 0.0) or np.any(yv <= 0.0):
-        raise ValueError("entries must be positive")
-    rep = majorizes(xv, yv, tol=tol)
-    if rep.verdict != "majorizes":
-        raise ValueError("premise failed: x does not majorize y")
-    return weak_majorizes(1.0 / yv, 1.0 / xv, tol=tol)

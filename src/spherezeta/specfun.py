@@ -1,9 +1,8 @@
 """Special functions with certified error reporting.
 
-Gamma delegates to the platform libm.  The Riemann and Hurwitz zeta
-evaluators are direct summations closed with a midpoint-integral tail
-correction (see ``truncation``), so their certificates hold down to the
-1e-12 range at a few hundred terms.  ``hurwitz_via_binomial`` is an
+The Riemann and Hurwitz zeta evaluators are direct summations closed with
+a midpoint-integral tail correction (see ``truncation``), so their
+certificates hold down to the 1e-12 range at a few hundred terms.  ``hurwitz_via_binomial`` is an
 independent route to the same values, kept as a cross-check of
 ``hurwitz_zeta``: it rebuilds zeta_H(2s, rho) for rho < 1 from Riemann
 zeta values through the binomial series
@@ -32,13 +31,6 @@ from .truncation import (
     TruncationPolicy,
     shifted_power_sum,
 )
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive reals."""
-    if not (x > 0.0):
-        raise ValueError("gamma_fn requires x > 0")
-    return math.gamma(x)
 
 
 def riemann_zeta(s: float, policy: TruncationPolicy = DEFAULT_POLICY) -> EvalResult:

@@ -20,8 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gamma_fn
-
 
 @dataclass(frozen=True)
 class SphereSpec:
@@ -45,7 +43,7 @@ def sphere_spec(n: int) -> SphereSpec:
     if not isinstance(n, int) or n < 1:
         raise ValueError("sphere dimension n must be a positive integer")
     rho = (n - 1) / 2.0
-    vol = 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_fn((n + 1) / 2.0)
+    vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     return SphereSpec(n=n, rho=rho, shift=rho * rho, volume=vol)
 
 

@@ -17,7 +17,6 @@ from spherezeta.kato import (
     potential,
     random_graph_laplacian,
     random_state,
-    regularized_abs,
     semigroup,
     sign_vector,
     symmetric_operator,
@@ -40,10 +39,8 @@ def test_symmetric_operator_validation():
         symmetric_operator([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
     with pytest.raises(ValueError):
         symmetric_operator(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        symmetric_operator([[-1.0, 0.0], [0.0, 1.0]], require_psd=True)
-    op = symmetric_operator([[2.0, -1.0], [-1.0, 2.0]], require_psd=True)
-    assert op.psd
+    op = symmetric_operator([[2.0, -1.0], [-1.0, 2.0]])
+    assert op.spectrum[0] >= -1e-10
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0  # read-only
 
@@ -54,7 +51,7 @@ def test_cycle_laplacian_structure():
     assert np.all(np.diag(mat) == 2.0)
     assert np.all(mat.sum(axis=1) == 0.0)
     assert is_graph_laplacian(op)
-    assert op.psd
+    assert op.spectrum[0] >= -1e-10
     with pytest.raises(ValueError):
         cycle_laplacian(2)
 
@@ -104,30 +101,6 @@ def test_sign_vector_exact_identities():
         assert s[np.abs(psi) == 0.0].sum() == 0.0
         phi = random_state(9, rng)
         assert np.all(np.abs(s * phi) <= np.abs(phi) + 1e-14)
-
-
-def test_sign_vector_regularized():
-    psi = np.array([3.0 + 4.0j, 0.0, -2.0])
-    with pytest.raises(ValueError):
-        sign_vector(psi, mode="regularized")
-    with pytest.raises(ValueError):
-        sign_vector(psi, mode="nonsense")
-    reg = sign_vector(psi, mode="regularized", eps=1e-9)
-    exact = sign_vector(psi)
-    assert np.all(np.abs(reg) <= 1.0)
-    nz = np.abs(psi) > 0
-    assert np.allclose(reg[nz], exact[nz], atol=1e-8)
-    assert reg[1] == 0.0
-
-
-def test_regularized_abs():
-    psi = np.array([3.0 + 4.0j, 0.0, -2.0])
-    r = regularized_abs(psi, 0.1)
-    assert np.all(r >= np.abs(psi))
-    assert np.allclose(regularized_abs(psi, 0.0), np.abs(psi))
-    assert r[1] == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        regularized_abs(psi, -0.5)
 
 
 def test_pointwise_inequality_on_builders():
@@ -325,8 +298,8 @@ def test_eigendecomposition_is_cached():
     w, u = op.eigh
     assert op.eigh[0] is w and op.eigh[1] is u
     assert np.allclose((u * w) @ u.T, op.entries, atol=1e-13)
-    assert op.psd
-    assert not symmetric_operator([[-1.0, 0.0], [0.0, 1.0]]).psd
+    assert op.spectrum[0] >= -1e-10
+    assert symmetric_operator([[-1.0, 0.0], [0.0, 1.0]]).spectrum[0] == -1.0
     with pytest.raises(ValueError):
         w[0] = 1.0  # read-only, so the cache cannot be corrupted
 
@@ -379,11 +352,18 @@ def test_duhamel_identity_with_exact_integral():
         resid = (uh * np.exp(-t * wh)) @ uh.T - (ux * np.exp(-t * wx)) @ ux.T + exact
         assert np.linalg.norm(resid, 2) <= 1e-12
         # the Simpson integral converges to it at fourth order
-        errs = [np.linalg.norm(kato._simpson_integral((wh, uh), (wx, ux), v.diagonal,
+        errs = [np.linalg.norm(_simpson_integral((wh, uh), (wx, ux), v.diagonal,
                                                       t, s) - exact, 2)
                 for s in (32, 64)]
         assert 12.0 <= errs[0] / errs[1] <= 20.0
         assert duhamel_residual(op, v, t, 64) == pytest.approx(errs[1], rel=1e-3)
+
+
+def _simpson_integral(h_eig, x_eig, ydiag, t, steps):
+    # composite Simpson sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X}, collapsed
+    # into the two eigenbases as U_H [M o (U_H^T Y U_X)] U_X^T
+    (wh, uh), (wx, ux) = h_eig, x_eig
+    return uh @ (kato._simpson_kernel(wh, wx, t, steps) * ((uh.T * ydiag) @ ux)) @ ux.T
 
 
 def _looped_simpson_integral(x, ydiag, t, steps):
@@ -407,7 +387,7 @@ def _looped_simpson_integral(x, ydiag, t, steps):
 def test_collapsed_simpson_matches_looped(steps):
     for op, v in _duhamel_setups():
         h = op.entries + np.diag(v.diagonal)
-        collapsed = kato._simpson_integral(np.linalg.eigh(h), op.eigh,
+        collapsed = _simpson_integral(np.linalg.eigh(h), op.eigh,
                                            v.diagonal, 1.3, steps)
         looped = _looped_simpson_integral(op.entries, v.diagonal, 1.3, steps)
         assert np.linalg.norm(collapsed - looped, 2) <= 1e-12
@@ -500,7 +480,7 @@ def test_named_graphs_take_no_eigh(eig_calls, op):
     psi, _ = _block_and_states(op, np.random.default_rng(6), trials=10)
     assert positivity_domination_check(op, 1.0, psi).ok
     assert commute_residual(op, 2.0) <= 1e-12
-    assert op.psd
+    assert op.spectrum[0] >= -1e-10
     assert "eigh" not in [name for name, _ in eig_calls]
 
 
@@ -557,7 +537,7 @@ def test_mixed_basis_duhamel_matches_full_basis(t, steps):
     for op, v in _duhamel_setups():
         wx, ux = op.eigh
         wh, uh = np.linalg.eigh(op.entries + np.diag(v.diagonal))
-        integral = kato._simpson_integral((wh, uh), (wx, ux), v.diagonal, t, steps)
+        integral = _simpson_integral((wh, uh), (wx, ux), v.diagonal, t, steps)
         full = (uh * np.exp(-t * wh)) @ uh.T - (ux * np.exp(-t * wx)) @ ux.T + integral
         assert abs(duhamel_residual(op, v, t, steps) - np.linalg.norm(full, 2)) <= 1e-14
 

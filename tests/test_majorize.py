@@ -1,24 +1,18 @@
-"""Majorization primitives: verdicts, order conventions, and probes."""
+"""Majorization primitives: verdicts, order conventions, and classic facts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherezeta.majorize import (
-    majorizes,
-    partial_sum_domination,
-    reciprocal_order_probe,
-    schur_convex_probe,
-    weak_majorizes,
-)
+from spherezeta.majorize import partial_sum_domination, weak_majorizes
 
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, min_size=1, max_size=12)
 
 
 def test_classic_pair():
-    rep = majorizes([3.0, 1.0], [2.0, 2.0])
+    rep = weak_majorizes([3.0, 1.0], [2.0, 2.0])
     assert rep.verdict == "majorizes"
     assert rep.first_violation is None
     rev = weak_majorizes([2.0, 2.0], [3.0, 1.0])
@@ -33,7 +27,7 @@ def test_weak_but_not_full():
 
 
 def test_sorting_is_descending_and_stable():
-    rep = majorizes([1.0, 3.0, 2.0], [2.0, 2.0, 2.0])
+    rep = weak_majorizes([1.0, 3.0, 2.0], [2.0, 2.0, 2.0])
     assert rep.x_sorted.tolist() == [3.0, 2.0, 1.0]
     assert rep.y_sorted.tolist() == [2.0, 2.0, 2.0]
 
@@ -41,7 +35,7 @@ def test_sorting_is_descending_and_stable():
 @settings(max_examples=150, deadline=None)
 @given(x=vectors)
 def test_self_majorization(x):
-    rep = majorizes(x, x)
+    rep = weak_majorizes(x, x)
     assert rep.verdict == "majorizes"
     assert rep.first_violation is None
 
@@ -67,7 +61,7 @@ def test_averaging_is_majorized(x, lam, data):
     # y = lam x + (1 - lam) P x is an average of permutations, so x >= y
     perm = data.draw(st.permutations(x))
     y = [lam * a + (1.0 - lam) * b for a, b in zip(x, perm)]
-    rep = majorizes(x, y)
+    rep = weak_majorizes(x, y)
     assert rep.verdict == "majorizes"
 
 
@@ -84,8 +78,8 @@ def test_majorization_chain(x, lam, mu, data):
     y = [lam * a + (1.0 - lam) * b for a, b in zip(x, p1)]
     p2 = data.draw(st.permutations(y))
     z = [mu * a + (1.0 - mu) * b for a, b in zip(y, p2)]
-    assert majorizes(y, z).verdict == "majorizes"
-    assert majorizes(x, z).verdict == "majorizes"
+    assert weak_majorizes(y, z).verdict == "majorizes"
+    assert weak_majorizes(x, z).verdict == "majorizes"
 
 
 def test_tolerance_override():
@@ -138,23 +132,16 @@ def test_partial_sum_domination_rejects_nonpositive():
         partial_sum_domination([1.0], [-1.0])
 
 
-def test_schur_convex_probe():
-    pairs = [([3.0, 1.0], [2.0, 2.0]), ([5.0, 0.0, 1.0], [2.0, 2.0, 2.0])]
-    assert schur_convex_probe(max, pairs) == [True, True]
-    assert schur_convex_probe(lambda v: float(np.sum(v**2)), pairs) == [True, True]
-    # min is Schur-concave, so the probe reports failures
-    assert schur_convex_probe(min, pairs) == [False, False]
-    with pytest.raises(ValueError):
-        schur_convex_probe(max, [([1.0, 1.0], [3.0, 1.0])])
+def test_schur_convex_functions_rise_along_majorization():
+    # max and the sum of squares are Schur-convex, min is Schur-concave
+    for x, y in [([3.0, 1.0], [2.0, 2.0]), ([5.0, 0.0, 1.0], [2.0, 2.0, 2.0])]:
+        assert weak_majorizes(x, y).verdict == "majorizes"
+        assert max(x) >= max(y)
+        assert sum(v * v for v in x) >= sum(v * v for v in y)
+        assert min(x) <= min(y)
 
 
-def test_reciprocal_probe_documents_failure():
-    # reciprocals need not reorder: the canonical counterexample fails
-    rep = reciprocal_order_probe([3.0, 1.0], [2.0, 2.0])
-    assert rep.verdict == "fails"
-    # degenerate equality survives
-    assert reciprocal_order_probe([2.0, 2.0], [2.0, 2.0]).verdict == "majorizes"
-    with pytest.raises(ValueError):
-        reciprocal_order_probe([4.0, 4.0], [2.0, 2.0])  # premise fails
-    with pytest.raises(ValueError):
-        reciprocal_order_probe([3.0, -1.0], [1.0, 1.0])
+def test_reciprocals_need_not_reorder():
+    # x majorizes y does not make 1/y weakly majorize 1/x: (3, 1) vs (2, 2)
+    assert weak_majorizes([3.0, 1.0], [2.0, 2.0]).verdict == "majorizes"
+    assert weak_majorizes([0.5, 0.5], [1.0 / 3.0, 1.0]).verdict == "fails"

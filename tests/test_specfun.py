@@ -1,4 +1,4 @@
-"""Gamma, zetas, the binomial Hurwitz route, and Gegenbauer ratios."""
+"""Zetas, the binomial Hurwitz route, and Gegenbauer ratios."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 from spherezeta.specfun import (
-    gamma_fn,
     gegenbauer_ratio,
     gegenbauer_ratio_series,
     hurwitz_via_binomial,
@@ -25,18 +24,6 @@ from _oracles import (
 )
 
 GRID21 = np.linspace(-1.0, 1.0, 21)
-
-
-def test_gamma_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_fn(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-15)
-    assert gamma_fn(5.0) == 24.0
-    for x in (2.3, 4.7, 11.0):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-14)
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.5)
 
 
 @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0, 4.0, 7.5])
