@@ -122,12 +122,26 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# kato budgets, each refused before the work it bounds is allocated: the
+# dense m x m graph, one O(m^3) eigvalsh of L + V per trace trial, and the
+# two m x (steps + 1) Simpson node tables of the Duhamel check
+_KATO_MAX_DIM = 2048
+_KATO_MAX_TRACE_WORK = 1 << 34
+_KATO_MAX_DUHAMEL_ENTRIES = 1 << 20
+
+
+def _check_dim(m: int) -> int:
+    if m > _KATO_MAX_DIM:
+        raise UsageError(f"graph dimension {m} exceeds the budget of {_KATO_MAX_DIM}")
+    return m
+
+
 def _parse_graph(text: str) -> kato.SymmetricOperator:
     kind, _, arg = text.partition(":")
     if kind == "cycle":
-        return kato.cycle_laplacian(int(arg))
+        return kato.cycle_laplacian(_check_dim(int(arg)))
     if kind == "complete":
-        return kato.complete_laplacian(int(arg))
+        return kato.complete_laplacian(_check_dim(int(arg)))
     if kind == "file":
         return _load_matrix(arg)
     raise UsageError(f"unknown graph spec {text!r}; use cycle:m, complete:m or file:PATH")
@@ -141,7 +155,7 @@ def _load_matrix(path: str) -> kato.SymmetricOperator:
         raise UsageError(f"cannot read matrix file: {exc}") from exc
     if not tokens:
         raise ValueError("matrix file is empty")
-    dim = int(tokens[0])
+    dim = _check_dim(int(tokens[0]))
     vals = [float(t) for t in tokens[1:]]
     if len(vals) != dim * dim:
         raise ValueError(
@@ -372,6 +386,13 @@ def _cmd_kato(args):
     if args.check in ("pointwise", "pairing", "positivity", "trace") and args.trials < 1:
         raise UsageError("--trials must be at least 1")
     op = _parse_graph(args.graph)
+    m = op.dim
+    if args.check == "trace" and args.trials * m**3 > _KATO_MAX_TRACE_WORK:
+        raise UsageError(f"--trials {args.trials} x m^3 at m = {m} exceeds the "
+                         "trace budget of 2^34")
+    if args.check == "duhamel" and (args.steps + 1) * m > _KATO_MAX_DUHAMEL_ENTRIES:
+        raise UsageError(f"(--steps {args.steps} + 1) x m at m = {m} exceeds the "
+                         "Duhamel budget of 2^20")
     tol = args.tol if args.tol is not None else 1e-12
     rng = np.random.default_rng(args.seed)
     rec = {"command": "kato", "check": args.check, "graph": args.graph,
@@ -466,6 +487,8 @@ def main(argv=None) -> int:
         # an explicit flag wins over the config file; out has no config key
         for name in ("format", "tol", "max_k", "out"):
             setattr(args, name, getattr(args, name, cfg.get(name)))
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise UsageError(f"tol must be finite and nonnegative, got {args.tol!r}")
         records, ok = _COMMANDS[args.command](args)
         buf = io.StringIO()
         _emit(records, args.format or "json", buf)

@@ -228,9 +228,9 @@ def sign_vector(psi) -> np.ndarray:
     return out
 
 
-def _require_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ValueError("time must be finite and nonnegative")
+def _require_nonneg(value: float, name: str) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def _states(op: SymmetricOperator, psi) -> np.ndarray:
@@ -281,6 +281,7 @@ def kato_pointwise_check(op: SymmetricOperator, psi,
     """
     if not is_graph_laplacian(op):
         raise ValueError("pointwise check requires nonpositive off-diagonals")
+    _require_nonneg(tol, "tol")
     v = _states(op, psi)
     lv, l_abs = _apply(op.entries, v, np.abs(v))
     return _entrywise(np.real(sign_vector(v) * lv), l_abs, tol)
@@ -299,6 +300,7 @@ def generator_pairing_check(op: SymmetricOperator, psi, phi,
     """
     if not is_graph_laplacian(op):
         raise ValueError("pairing check requires nonpositive off-diagonals")
+    _require_nonneg(tol, "tol")
     v = _states(op, psi)
     f = np.asarray(phi, dtype=float)
     if f.shape != v.shape:
@@ -314,7 +316,7 @@ def generator_pairing_check(op: SymmetricOperator, psi, phi,
 
 def semigroup(op: SymmetricOperator, t: float) -> SymmetricOperator:
     """e^{-t L} by spectral calculus, re-symmetrized exactly."""
-    _require_time(t)
+    _require_nonneg(t, "time")
     w, u = op.eigh
     e = (u * np.exp(-t * w)) @ u.T
     e = 0.5 * (e + e.T)
@@ -330,6 +332,7 @@ def positivity_domination_check(op: SymmetricOperator, t: float, psi,
     """
     if not is_graph_laplacian(op):
         raise ValueError("domination check requires nonpositive off-diagonals")
+    _require_nonneg(tol, "tol")
     v = _states(op, psi)
     ev, e_abs = _apply(semigroup(op, t).entries, v, np.abs(v))
     return _entrywise(e_abs, np.abs(ev), tol)
@@ -340,7 +343,8 @@ def trace_domination_check(op: SymmetricOperator, pot: Potential, t: float,
     """Check Tr e^{-t(L+V)} <= Tr e^{-tL} and per-index eigenvalue domination."""
     if pot.dim != op.dim:
         raise ValueError("potential length does not match operator dimension")
-    _require_time(t)
+    _require_nonneg(t, "time")
+    _require_nonneg(tol, "tol")
     w_free = op.spectrum
     w_full = np.linalg.eigvalsh(op.entries + np.diag(pot.diagonal))
     tr_free = float(np.sum(np.exp(-t * w_free)))
@@ -380,7 +384,7 @@ def duhamel_residual(x_op: SymmetricOperator, y_pot: Potential, t: float,
     """
     if y_pot.dim != x_op.dim:
         raise ValueError("potential length does not match operator dimension")
-    _require_time(t)
+    _require_nonneg(t, "time")
     if steps < 2 or steps % 2:
         raise ValueError("steps must be a positive even integer")
     wx, ux = x_op.eigh

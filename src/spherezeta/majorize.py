@@ -9,6 +9,7 @@ for sequences that are not O(1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,12 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _default_tol(x: np.ndarray, y: np.ndarray) -> float:
-    return 1e-12 * max(1.0, abs(float(np.sum(x))), abs(float(np.sum(y))))
+def _resolve_tol(tol: float | None, x: np.ndarray, y: np.ndarray) -> float:
+    if tol is None:
+        return 1e-12 * max(1.0, abs(float(np.sum(x))), abs(float(np.sum(y))))
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
+    return float(tol)
 
 
 def _sort_desc(arr: np.ndarray) -> np.ndarray:
@@ -63,7 +68,7 @@ def weak_majorizes(x, y, tol: float | None = None) -> MajorizationReport:
     xv, yv = _as_vector(x, "x"), _as_vector(y, "y")
     if xv.size != yv.size:
         raise ValueError("sequences must have equal length")
-    t = _default_tol(xv, yv) if tol is None else float(tol)
+    t = _resolve_tol(tol, xv, yv)
     xs, ys = _sort_desc(xv), _sort_desc(yv)
     gaps = np.cumsum(xs) - np.cumsum(ys)
     bad = np.nonzero(gaps < -t)[0]
@@ -97,7 +102,7 @@ def partial_sum_domination(a, b, tol: float | None = None) -> DominationReport:
         raise ValueError("sequences must have equal length")
     if np.any(av <= 0.0) or np.any(bv <= 0.0):
         raise ValueError("entries must be positive")
-    t = _default_tol(av, bv) if tol is None else float(tol)
+    t = _resolve_tol(tol, av, bv)
     gaps = np.cumsum(bv) - np.cumsum(av)
     bad = np.nonzero(gaps < -t)[0]
     first = int(bad[0]) + 1 if bad.size else None

@@ -39,9 +39,16 @@ class SpectrumEntry:
     d: int            # multiplicity, exact
 
 
+# Gamma((n + 1)/2) in the volume overflows a double from n = 343 on
+_MAX_SPEC_N = 342
+
+
 def sphere_spec(n: int) -> SphereSpec:
     if not isinstance(n, int) or n < 1:
         raise ValueError("sphere dimension n must be a positive integer")
+    if n > _MAX_SPEC_N:
+        raise ValueError(f"sphere dimension n = {n} exceeds {_MAX_SPEC_N}: "
+                         "Gamma((n+1)/2) in the volume overflows a double")
     rho = (n - 1) / 2.0
     vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     return SphereSpec(n=n, rho=rho, shift=rho * rho, volume=vol)

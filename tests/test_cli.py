@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -531,3 +532,52 @@ def test_kato_block_draw_matches_random_state(capsys, check, graph, trials, seed
     code, out = run(capsys, ["kato", check, "--graph", graph,
                              "--trials", str(trials), "--seed", str(seed)])
     assert (code, out) == (0, want.getvalue())
+
+
+def failure(capsys, argv) -> str:
+    """Exit code 1 with nothing on stdout; returns stderr."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    return captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["majorize", "--x", "1,0", "--y", "0,5", "--weak"],
+    ["kato", "pointwise", "--graph", "cycle:8", "--trials", "3"],
+])
+def test_bad_tol_is_a_usage_error(capsys, tmp_path, argv, bad):
+    # a NaN tol once made every comparison pass: x = (1, 0) does not weakly
+    # majorize y = (0, 5), yet the verdict was weakly_majorizes with exit 0
+    assert "tol must be finite and nonnegative" in failure(capsys, argv + [f"--tol={bad}"])
+    cfg = tmp_path / "bad-tol.cfg"
+    cfg.write_text(f"tol = {bad}\n")
+    assert "tol must be finite" in failure(capsys, argv + ["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["kato", "pointwise", "--graph", "cycle:100000"],
+     "graph dimension 100000 exceeds the budget of 2048"),
+    (["kato", "commute", "--graph", "complete:4096"],
+     "graph dimension 4096 exceeds the budget of 2048"),
+    (["kato", "trace", "--graph", "cycle:1024"], "trace budget of 2^34"),
+    (["kato", "duhamel", "--graph", "cycle:1024", "--steps", "2048"],
+     "Duhamel budget of 2^20"),
+])
+def test_kato_budgets_refuse_before_the_work(capsys, argv, limit):
+    start = time.perf_counter()
+    assert limit in failure(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kato_file_header_is_held_to_the_dimension_budget(capsys, tmp_path):
+    big = tmp_path / "big.mat"
+    big.write_text("100000\n1.0\n")
+    assert ("graph dimension 100000 exceeds the budget of 2048"
+            in failure(capsys, ["kato", "pointwise", "--graph", f"file:{big}"]))
+
+
+def test_kernel_refuses_an_overflowing_sphere_volume(capsys):
+    argv = ["kernel", "--n", "343", "--kind", "heat", "--t", "0.5", "--cos-gamma", "0.5"]
+    assert "sphere dimension n = 343 exceeds 342" in failure(capsys, argv)

@@ -415,19 +415,18 @@ def test_block_checks_match_per_state_checks():
             assert block.ok == all(r.ok for r in single)
             assert block.min_slack == pytest.approx(min(r.min_slack for r in single),
                                                     abs=1e-12)
-            # a cut between the per-state minima: the same states fail either way
+            # a cut between the per-state minima: the block's verdict names the
+            # first state whose minimum falls below it
             cut = float(np.median([r.min_slack for r in single]))
-            block = check(psi, -cut)
-            single = [check(psi[:, j], -cut) for j in cols]
-            assert block.ok == all(r.ok for r in single)
-            assert block.first_violation == next(j for j, r in enumerate(single) if not r.ok)
+            below = kato._entrywise(block.slack - cut, 0.0, 0.0)
+            assert not below.ok
+            assert below.first_violation == next(j for j, r in enumerate(single)
+                                                 if r.min_slack < cut)
         block = generator_pairing_check(op, psi, phi)
         single = [generator_pairing_check(op, psi[:, j], phi[:, j]) for j in cols]
         assert np.allclose(block.slack, [r.slack for r in single], rtol=0.0, atol=1e-12)
         assert np.allclose(block.lhs, [r.lhs for r in single], rtol=0.0, atol=1e-12)
         assert block.ok == all(r.ok for r in single)
-        cut = float(np.median(block.slack))
-        assert not generator_pairing_check(op, psi, phi, -cut).ok
 
 
 def test_block_input_validation():
@@ -550,3 +549,17 @@ def test_potential_rejects_nonfinite(bad):
         potential(diag)
     with pytest.raises(ValueError, match="finite"):
         potential(np.full(8, bad))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_checks_refuse_a_bad_tol(tol):
+    op = cycle_laplacian(6)
+    psi = random_state(6, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="tol"):
+        kato_pointwise_check(op, psi, tol)
+    with pytest.raises(ValueError, match="tol"):
+        generator_pairing_check(op, psi, np.ones(6), tol)
+    with pytest.raises(ValueError, match="tol"):
+        positivity_domination_check(op, 1.0, psi, tol)
+    with pytest.raises(ValueError, match="tol"):
+        trace_domination_check(op, potential(np.ones(6)), 1.0, tol)

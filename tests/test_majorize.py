@@ -145,3 +145,12 @@ def test_reciprocals_need_not_reorder():
     # x majorizes y does not make 1/y weakly majorize 1/x: (3, 1) vs (2, 2)
     assert weak_majorizes([3.0, 1.0], [2.0, 2.0]).verdict == "majorizes"
     assert weak_majorizes([0.5, 0.5], [1.0 / 3.0, 1.0]).verdict == "fails"
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_bad_tol_is_refused(tol):
+    # with tol = nan, gaps < -tol is never true and every pair would pass
+    with pytest.raises(ValueError, match="tol"):
+        weak_majorizes([1.0, 0.0], [0.0, 5.0], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        partial_sum_domination([1.0, 5.0], [2.0, 3.0], tol=tol)

@@ -133,3 +133,11 @@ def test_spectral_arrays_exact_length_and_multiplicities(n, kmax):
         assert abs(d[k - 1] - exact) <= 2 * n * 2.0**-52 * exact
         if n <= 8:
             assert d[k - 1] == exact
+
+
+def test_sphere_spec_refuses_an_overflowing_volume():
+    # Gamma(171.5) is the last half-integer Gamma below the double range
+    assert sphere_spec(342).volume == 2.0 * math.pi**171.5 / math.gamma(171.5)
+    assert 0.0 < sphere_spec(342).volume < 1e-200
+    with pytest.raises(ValueError, match="n = 343 exceeds 342"):
+        sphere_spec(343)
