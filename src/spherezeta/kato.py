@@ -26,7 +26,8 @@ X side of the Duhamel integral read it.  Named graphs have it in closed
 form: real Fourier modes with eigenvalues 4 sin^2(pi k/m) for the cycle,
 the constant vector and a Helmert basis with eigenvalue m for K_m (Chung,
 Spectral Graph Theory, 1997, sec. 1.2); other operators call LAPACK.
-The trace check needs only eigenvalues (``SymmetricOperator.spectrum``).  Semigroups are re-symmetrized exactly.
+The trace check needs only eigenvalues (``SymmetricOperator.spectrum``).
+Semigroups are re-symmetrized exactly.
 
 The pointwise, pairing and positivity checks take either one state of
 length m or an m x T block of states as columns; a block is pushed through

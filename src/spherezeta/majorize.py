@@ -108,4 +108,3 @@ def partial_sum_domination(a, b, tol: float | None = None) -> DominationReport:
     first = int(bad[0]) + 1 if bad.size else None
     return DominationReport(ok=first is None, prefix_gaps=gaps,
                             first_violation=first, tol=t)
-

@@ -353,7 +353,7 @@ def test_duhamel_identity_with_exact_integral():
         assert np.linalg.norm(resid, 2) <= 1e-12
         # the Simpson integral converges to it at fourth order
         errs = [np.linalg.norm(_simpson_integral((wh, uh), (wx, ux), v.diagonal,
-                                                      t, s) - exact, 2)
+                                                 t, s) - exact, 2)
                 for s in (32, 64)]
         assert 12.0 <= errs[0] / errs[1] <= 20.0
         assert duhamel_residual(op, v, t, 64) == pytest.approx(errs[1], rel=1e-3)
@@ -388,7 +388,7 @@ def test_collapsed_simpson_matches_looped(steps):
     for op, v in _duhamel_setups():
         h = op.entries + np.diag(v.diagonal)
         collapsed = _simpson_integral(np.linalg.eigh(h), op.eigh,
-                                           v.diagonal, 1.3, steps)
+                                      v.diagonal, 1.3, steps)
         looped = _looped_simpson_integral(op.entries, v.diagonal, 1.3, steps)
         assert np.linalg.norm(collapsed - looped, 2) <= 1e-12
 
