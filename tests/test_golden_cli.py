@@ -20,7 +20,10 @@ from spherezeta import cli
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.txt")
 
 # the README examples, with a cycle graph in place of the file graph, then
-# the remaining kato checks, majorize --weak and the other kernel/zeta forms
+# the remaining kato checks, majorize --weak and the other kernel/zeta forms,
+# then the series paths that share work: the spectrum multiplicities, the
+# closed form's Riemann values, two kernels at one angle and a long
+# Gegenbauer table
 COMMANDS = [
     "spectrum --n 3 --kmax 10",
     "zeta --n 2 --s 2.0 --form closed",
@@ -43,6 +46,11 @@ COMMANDS = [
     "kernel --n 3 --kind zeta --s 3.0 --cos-gamma 0.25",
     "zeta --n 3 --s 2.5 --form hurwitz",
     "specfun hurwitz --s 2.5 --a 0.5",
+    "spectrum --n 12 --kmax 40",
+    "zeta --n 4 --s 3.0 --form closed",
+    "kernel --kind heat --n 5 --t 0.001 --cos-gamma 0.3",
+    "kernel --kind zeta --n 5 --s 4.0 --cos-gamma 0.3",
+    "specfun gegenbauer --k 150 --n 7 --t 0.3",
 ]
 
 
