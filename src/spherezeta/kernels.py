@@ -75,17 +75,32 @@ def _heat_tail_bound(n: int, t: float, k_last: int) -> float:
 
     Uses d_k <= 2 (k+1)^(n-1) <= 2^n k^(n-1) and lambda_k >= k^2; valid
     once the summand is decreasing, i.e. k_last + 1 >= sqrt((n-1)/(2t)).
-    Returns inf when the monotonicity threshold has not been reached.
+    Returns inf when the monotonicity threshold has not been reached, and
+    when the bound itself exceeds the float range.
     """
     c = float(k_last + 1)
     if n > 1 and c * c < (n - 1) / (2.0 * t):
         return math.inf
     ect = math.exp(-t * c * c)
     # I_m = int_c^inf x^(m-1) e^(-t x^2) dx by the standard recursion
-    vals = [0.5 * math.sqrt(math.pi / t) * math.erfc(c * math.sqrt(t)), ect / (2.0 * t)]
+    try:
+        vals = [0.5 * math.sqrt(math.pi / t) * math.erfc(c * math.sqrt(t)), ect / (2.0 * t)]
+        for m in range(3, n + 1):
+            vals.append(c ** (m - 2) * ect / (2.0 * t) + (m - 2) / (2.0 * t) * vals[m - 3])
+        return 2.0**n * (c ** (n - 1) * ect + vals[n - 1])
+    except OverflowError:
+        pass
+    # the same recursion on logs, where a power of c or of 2 overflows; the
+    # erfc underflows first, so its log uses erfc(x) <= e^(-x^2) / (x sqrt(pi))
+    x, log_2t = c * math.sqrt(t), math.log(2.0 * t)
+    erfc = math.erfc(x)
+    log_erfc = math.log(erfc) if erfc > 1e-300 else -x * x - math.log(x * math.sqrt(math.pi))
+    logs = [math.log(0.5 * math.sqrt(math.pi / t)) + log_erfc, -t * c * c - log_2t]
     for m in range(3, n + 1):
-        vals.append(c ** (m - 2) * ect / (2.0 * t) + (m - 2) / (2.0 * t) * vals[m - 3])
-    return 2.0**n * (c ** (n - 1) * ect + vals[n - 1])
+        logs.append(np.logaddexp((m - 2) * math.log(c) - t * c * c - log_2t,
+                                 math.log((m - 2) / (2.0 * t)) + logs[m - 3]))
+    log_b = n * math.log(2.0) + np.logaddexp((n - 1) * math.log(c) - t * c * c, logs[n - 1])
+    return math.exp(log_b) if log_b < 709.0 else math.inf
 
 
 def _heat_k_min(n: int, t: float) -> int:

@@ -10,11 +10,14 @@ zeta values through the binomial series
     zeta_H(2s, rho) = rho^(-2s)
         + sum_{m >= 0} (-1)^m Gamma(2s+m)/(m! Gamma(2s)) rho^m zeta_R(2s+m),
 
-truncated with an alternating-series remainder bound.
+truncated with an alternating-series remainder bound.  Its Riemann values
+zeta_R(2s+m), m = 0..m_max+1, come from one ``shifted_power_sums`` call.
 
 Gegenbauer ratios r_k = C_k^{alpha}(t) / C_k^{alpha}(1) with alpha =
 (n-1)/2 are generated by a three-term recurrence that is uniform in n >= 2;
-the n = 1 boundary case is the Chebyshev limit cos(k arccos t).
+the n = 1 boundary case is the Chebyshev limit cos(k arccos t).  The table
+of the last (n, t) asked for is kept, and a longer request continues its
+recurrence from the last two entries, so the kernels at one angle share it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import math
 import numpy as np
 
 from .truncation import (
+    _EPS,
     _TIGHT,
     DEFAULT_POLICY,
     EvalResult,
     TruncationError,
     TruncationPolicy,
     shifted_power_sum,
+    shifted_power_sums,
 )
 
 
@@ -72,10 +77,10 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
     inner_tails = 0.0
     coef = 1.0  # Gamma(2s+m) / (m! Gamma(2s)), built by recurrence
     abs_accum = abs(value)
-    for m in range(m_max + 1):
+    zeta_r = shifted_power_sums([p + m for m in range(m_max + 2)], 1.0, _TIGHT)
+    for m, zr in enumerate(zeta_r[:-1]):
         if m > 0:
             coef *= (p + m - 1.0) / m
-        zr = shifted_power_sum(p + m, 1.0, _TIGHT)
         term = coef * rho**m * zr.value
         if not math.isfinite(term) or abs(term) > 1e300:
             raise OverflowError("binomial expansion term overflowed")
@@ -90,8 +95,8 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
             "alternating remainder not certifiable: increase m_max"
         )
     coef *= (p + m1 - 1.0) / m1
-    first_omitted = coef * rho**m1 * shifted_power_sum(p + m1, 1.0, _TIGHT).value
-    tail = first_omitted + inner_tails + 4.0 * np.finfo(float).eps * abs_accum * math.log2(m_max + 2)
+    first_omitted = coef * rho**m1 * zeta_r[m1].value
+    tail = first_omitted + inner_tails + 4.0 * _EPS * abs_accum * math.log2(m_max + 2)
     return EvalResult(value=value, terms_used=m_max + 1, tail_bound=tail)
 
 
@@ -106,7 +111,8 @@ def gegenbauer_ratio(k: int, n: int, t: float) -> float:
 def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     """Array [r_0, ..., r_kmax] of normalized Gegenbauer values at t: r_0 = 1,
     r_1 = t and (k + n - 2) r_k = (2k + n - 3) t r_{k-1} - (k - 1) r_{k-2}
-    for n >= 2; n = 1 degenerates to cos(k arccos t)."""
+    for n >= 2; n = 1 degenerates to cos(k arccos t).  The array is the
+    caller's own: writing to it leaves later calls unchanged."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if n < 1:
@@ -116,12 +122,29 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     if n == 1:
         theta = math.acos(t)
         return np.cos(theta * np.arange(kmax + 1))
-    r = np.empty(kmax + 1)
-    r[0] = 1.0
-    if kmax >= 1:
-        r[1] = t
-    prev, cur = 1.0, t
-    for j in range(2, kmax + 1):
-        prev, cur = cur, ((2 * j + n - 3) * t * cur - (j - 1) * prev) / (j + n - 2)
-        r[j] = cur
+    return _recurrence_table(n, float(t), kmax)[:kmax + 1].copy()
+
+
+# ((n, t.hex()), [r_0, ..., r_K]) of the last n >= 2 table asked for.  One
+# table is kept, so memory stays that of the last request; it is replaced
+# whole, never written once published, so a concurrent reader sees an old
+# table or a new one.
+_last_table: tuple = ((0, ""), np.empty(0))
+
+
+def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
+    """[r_0, ..., r_K], K >= kmax, for n >= 2: the kept table when it is for
+    (n, t), else a fresh one, extended by the same recurrence steps."""
+    global _last_table
+    key, r = _last_table
+    if key != (n, t.hex()):
+        key, r = (n, t.hex()), np.array([1.0, t])
+    if len(r) <= kmax:
+        k0 = len(r)
+        r = np.concatenate((r, np.empty(kmax + 1 - k0)))
+        prev, cur = float(r[k0 - 2]), float(r[k0 - 1])
+        for j in range(k0, kmax + 1):
+            prev, cur = cur, ((2 * j + n - 3) * t * cur - (j - 1) * prev) / (j + n - 2)
+            r[j] = cur
+    _last_table = (key, r)
     return r

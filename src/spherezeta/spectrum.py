@@ -43,6 +43,9 @@ class SpectrumEntry:
 _MAX_SPEC_N = 342
 
 
+# only n = 1.._MAX_SPEC_N pass the checks (a raise is not cached), so the
+# cache holds at most that many entries
+@lru_cache(maxsize=None)
 def sphere_spec(n: int) -> SphereSpec:
     if not isinstance(n, int) or n < 1:
         raise ValueError("sphere dimension n must be a positive integer")
@@ -101,18 +104,23 @@ def multiplicity_product_form(k: int, n: int) -> int:
 
 
 def spectrum_slice(n: int, kmax: int) -> list[SpectrumEntry]:
+    """Entries k = 0..kmax; d_k = C(k + n, n) - C(k + n - 2, n) with both
+    binomials advanced by exact integer steps, C(m, n) = C(m - 1, n) m / (m - n)."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if n < 1:
+        raise ValueError("need k >= 0 and n >= 1")
     out = []
+    up, down = 1, 0  # C(k + n, n), C(k + n - 2, n)
     for k in range(kmax + 1):
-        out.append(
-            SpectrumEntry(
-                k=k,
-                lam=float(eigenvalue(k, n)),
-                mu=shifted_eigenvalue(k, n),
-                d=multiplicity(k, n),
-            )
-        )
+        if k > 0:
+            up = up * (k + n) // k
+        if k == 2:
+            down = 1
+        elif k > 2:
+            down = down * (k + n - 2) // (k - 2)
+        out.append(SpectrumEntry(k=k, lam=float(k * (k + n - 1)),
+                                 mu=(2 * k + n - 1) ** 2 / 4.0, d=up - down))
     return out
 
 

@@ -11,7 +11,10 @@ All certified sums go through one core.  ``smallest_k`` walks the single
 K ladder k_min, 2 k_min, 4 k_min, ... up to max_k until a tail bound meets
 its target; ``certified_sum`` takes K with truncation bound <= tol/2, sums,
 adds the roundoff allowance, and raises ``AccuracyError`` when that total
-exceeds tol.
+exceeds tol.  ``shifted_power_sums`` certifies several exponents over one
+shift at once: each exponent takes its own rung, and the exponents that
+share a rung are summed as the rows of one power block, each row certified
+as ``certified_sum`` certifies a single sum.
 
 The workhorse tail is the midpoint-rule estimate for sums of decreasing
 convex terms f(k) = (k + a)^(-p):
@@ -72,6 +75,8 @@ class EvalResult:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+# entries of one power block of shifted_power_sums (a single row may exceed it)
+_BLOCK_ENTRIES = 1 << 16
 # tight inner sums of the closed forms and the binomial Hurwitz route
 _TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 
@@ -111,6 +116,21 @@ def smallest_k(bound, target: float, k_min: int, max_k: int) -> int:
     return k
 
 
+def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
+             tol: float, offset: float | None) -> EvalResult | AccuracyError:
+    """The result of ``certified_sum`` from its K-term head sums, or the
+    AccuracyError it raises."""
+    lead = 0.0 if offset is None else offset
+    total = bound + _roundoff_allowance(abs_sum + abs(lead), k)
+    if not total <= tol:
+        return AccuracyError(
+            f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
+            f"exceeds tol {tol:.3e}"
+        )
+    return EvalResult(value=lead + head_sum + est,
+                      terms_used=k + (offset is not None), tail_bound=total)
+
+
 def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
                   offset: float | None = None) -> EvalResult:
     """Certified value of offset + sum(terms(K)) + the tail estimate.
@@ -125,22 +145,52 @@ def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
     k = smallest_k(lambda j: tail(j)[1], 0.5 * policy.tol, k_min, policy.max_k)
     est, bound = tail(k)
     head = terms(k)
-    lead = 0.0 if offset is None else offset
-    total = bound + _roundoff_allowance(float(np.sum(np.abs(head))) + abs(lead), k)
-    if not total <= policy.tol:
-        raise AccuracyError(
-            f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
-            f"exceeds tol {policy.tol:.3e}"
-        )
-    return EvalResult(value=lead + float(np.sum(head)) + est,
-                      terms_used=k + (offset is not None), tail_bound=total)
+    out = _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
+                   policy.tol, offset)
+    if isinstance(out, AccuracyError):
+        raise out
+    return out
+
+
+def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResult]:
+    """Certified sum_{k >= 0} (k + a)^(-p) for every p in ps (each p > 1), a > 0.
+
+    Each result equals ``shifted_power_sum(p, a, policy)`` bit for bit: every
+    exponent takes its own rung of the K ladder, and the exponents on one rung
+    are the rows of one np.power block.  A failure raises what the first
+    failing exponent, taken in order, raises on its own.
+    """
+    ps = [float(p) for p in ps]
+    if any(p <= 1.0 for p in ps):
+        raise ValueError("exponent must exceed 1 for convergence")
+    if a <= 0.0:
+        raise ValueError("shift must be positive")
+    rungs: dict[int, list[int]] = {}
+    out: list = [None] * len(ps)
+    for i, p in enumerate(ps):
+        try:
+            k = smallest_k(lambda j: power_tail(p, a, j)[1], 0.5 * policy.tol, 16,
+                           policy.max_k)
+        except TruncationError as exc:
+            out[i] = exc
+        else:
+            rungs.setdefault(k, []).append(i)
+    for k, rows in rungs.items():
+        base = np.arange(k, dtype=float)[None, :] + a
+        step = max(1, _BLOCK_ENTRIES // k)
+        for lo in range(0, len(rows), step):
+            block = np.power(base, -np.array([ps[i] for i in rows[lo:lo + step]])[:, None])
+            sums, abs_sums = np.sum(block, axis=1), np.sum(np.abs(block), axis=1)
+            for i, head_sum, abs_sum in zip(rows[lo:lo + step], sums.tolist(),
+                                            abs_sums.tolist()):
+                out[i] = _certify(head_sum, abs_sum, *power_tail(ps[i], a, k), k,
+                                  policy.tol, None)
+    for r in out:
+        if isinstance(r, Exception):
+            raise r
+    return out
 
 
 def shifted_power_sum(p: float, a: float, policy: TruncationPolicy) -> EvalResult:
     """Certified evaluation of sum_{k >= 0} (k + a)^(-p) for p > 1, a > 0."""
-    if p <= 1.0:
-        raise ValueError("exponent must exceed 1 for convergence")
-    if a <= 0.0:
-        raise ValueError("shift must be positive")
-    return certified_sum(lambda k: np.power(np.arange(k, dtype=float) + a, -p),
-                         lambda k: power_tail(p, a, k), policy, 16)
+    return shifted_power_sums([p], a, policy)[0]

@@ -581,3 +581,22 @@ def test_kato_file_header_is_held_to_the_dimension_budget(capsys, tmp_path):
 def test_kernel_refuses_an_overflowing_sphere_volume(capsys):
     argv = ["kernel", "--n", "343", "--kind", "heat", "--t", "0.5", "--cos-gamma", "0.5"]
     assert "sphere dimension n = 343 exceeds 342" in failure(capsys, argv)
+
+
+@pytest.mark.parametrize("n", ["200", "342"])
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--kind", "heat", "--t", "0.5", "--cos-gamma", "0.5"],
+    ["heat-trace", "--t", "0.5"],
+])
+def test_high_dimensional_heat_certifies_or_names_the_refusal(capsys, argv, n):
+    # the heat tail bound's powers c^(n-1) and 2^n overflow a double here;
+    # this once ended in a bare "(34, 'Numerical result out of range')"
+    code = cli.main(argv + ["--n", n])
+    captured = capsys.readouterr()
+    assert "out of range" not in captured.err
+    if code == 0:
+        (rec,) = records(captured.out)
+        assert rec["tail_bound"] <= (1e-8 if argv[0] == "kernel" else 1e-10)
+    else:
+        assert (code, captured.out) == (1, "")
+        assert "exceeds tol" in captured.err

@@ -371,6 +371,36 @@ def test_heat_tail_bound_dominates_exact_tail(n):
             assert _heat_tail_bound(n, t, k_last) >= _exact_heat_tail(n, t, k_last), (t, k_last)
 
 
+def _heat_tail_formula(n, t, k_last):
+    # the bound _heat_tail_bound evaluates, in 40-digit arithmetic with no
+    # overflow: 2^n (c^(n-1) e^(-t c^2) + I_n), I_m by the same recursion
+    with mp.workdps(40):
+        c, tt = mp.mpf(k_last + 1), mp.mpf(t)
+        ect = mp.exp(-tt * c * c)
+        vals = [mp.sqrt(mp.pi / tt) / 2 * mp.erfc(c * mp.sqrt(tt)), ect / (2 * tt)]
+        for m in range(3, n + 1):
+            vals.append(c ** (m - 2) * ect / (2 * tt) + (m - 2) / (2 * tt) * vals[m - 3])
+        return 2 ** n * (c ** (n - 1) * ect + vals[n - 1])
+
+
+@pytest.mark.parametrize("n", [20, 200, 342])
+@pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+def test_heat_tail_bound_past_the_float_range_of_its_powers(n, t):
+    # c^(n-1) and 2^n overflow a double at n = 200 and 342 (a bare
+    # OverflowError from the CLI once); the bound is then evaluated on logs
+    k_min = _heat_k_min(n, t)
+    for k_last in (k_min, 2 * k_min, 4 * k_min, 8 * k_min, 64 * k_min):
+        want = _heat_tail_formula(n, t, k_last)
+        got = _heat_tail_bound(n, t, k_last)
+        if want > 1e308:
+            assert got == math.inf, (k_last, want)
+        else:
+            assert got == pytest.approx(float(want), rel=1e-9, abs=1e-300), k_last
+    if n == 200 and t == 0.5:
+        for k_last in (2 * k_min, 4 * k_min):
+            assert _heat_tail_bound(n, t, k_last) >= _exact_heat_tail(n, t, k_last)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
 def test_trace_envelope_dominates_exact_trace(n):
     # the Mellin head, quadrature and far-tail bounds all rest on this envelope

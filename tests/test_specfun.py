@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
+from spherezeta import specfun
 from spherezeta.specfun import (
     gegenbauer_ratio,
     gegenbauer_ratio_series,
@@ -164,6 +165,47 @@ def test_gegenbauer_series_consistent_with_scalar(n):
                 want = eval_gegenbauer(k, alpha, t) / eval_gegenbauer(k, alpha, 1.0)
             assert series[k] == pytest.approx(want, abs=1e-12)
             assert gegenbauer_ratio(k, n, t) == series[k]
+
+
+def _fresh_recurrence(n, t, kmax):
+    # the three-term recurrence run from k = 0, one float at a time
+    r, prev, cur = [1.0, t], 1.0, t
+    for j in range(2, kmax + 1):
+        prev, cur = cur, ((2 * j + n - 3) * t * cur - (j - 1) * prev) / (j + n - 2)
+        r.append(cur)
+    return r[:kmax + 1]
+
+
+def test_gegenbauer_table_is_kept_per_angle_and_bit_identical():
+    # angles interleave and K grows and shrinks; every table must equal a
+    # fresh recurrence bit for bit, and only the last (n, t) table is kept
+    calls = [(3, 0.3, 10), (3, 0.3, 700), (3, 0.3, 40), (5, 0.3, 300), (3, 0.3, 900),
+             (3, -0.7, 5), (3, 0.3, 0), (3, 0.3, 1), (5, 0.3, 1200), (2, 0.0, 64),
+             (2, -0.0, 64), (2, 0.0, 65), (1, 0.3, 50), (5, 0.3, 1300), (5, 0.3, 1200)]
+    for n, t, kmax in calls:
+        got = gegenbauer_ratio_series(n, t, kmax)
+        assert len(got) == kmax + 1
+        if n == 1:
+            assert got.tolist() == np.cos(math.acos(t) * np.arange(kmax + 1)).tolist()
+        else:
+            want = _fresh_recurrence(n, t, kmax)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+            (kept_n, kept_t), kept = specfun._last_table
+            assert (kept_n, kept_t) == (n, t.hex())
+            assert kmax + 1 <= len(kept) <= 1301
+    gegenbauer_ratio_series(4, 0.5, 3)
+    assert len(specfun._last_table[1]) == 4  # the 1301-entry table is gone
+
+
+def test_gegenbauer_series_is_the_callers_own():
+    first = gegenbauer_ratio_series(4, 0.25, 200)
+    want = first.copy()
+    first[:] = 7.0
+    again = gegenbauer_ratio_series(4, 0.25, 300)
+    assert again[:201].tolist() == want.tolist()
+    again[5] = -3.0
+    assert gegenbauer_ratio_series(4, 0.25, 100).tolist() == want[:101].tolist()
+    assert gegenbauer_ratio(5, 4, 0.25) == want[5]
 
 
 def test_gegenbauer_domain():

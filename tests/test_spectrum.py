@@ -5,6 +5,7 @@ import math
 import pytest
 
 from spherezeta.spectrum import (
+    SphereSpec,
     _spectral_arrays,
     eigenvalue,
     mult_poly_coeffs,
@@ -98,6 +99,18 @@ def test_spectrum_slice_structure():
         spectrum_slice(2, -1)
 
 
+def test_spectrum_slice_multiplicities_are_exact():
+    # the integer steps of spectrum_slice against both library formulas
+    for n in range(1, 31):
+        entries = spectrum_slice(n, 400)
+        assert [e.k for e in entries] == list(range(401))
+        for e in entries:
+            assert type(e.d) is int
+            assert e.d == multiplicity(e.k, n) == multiplicity_product_form(e.k, n)
+    with pytest.raises(ValueError):
+        spectrum_slice(0, 3)
+
+
 def test_mult_poly_matches_exact_expansion():
     for n in range(1, 7):
         got = mult_poly_coeffs(n)
@@ -141,3 +154,15 @@ def test_sphere_spec_refuses_an_overflowing_volume():
     assert 0.0 < sphere_spec(342).volume < 1e-200
     with pytest.raises(ValueError, match="n = 343 exceeds 342"):
         sphere_spec(343)
+
+
+def test_sphere_spec_is_computed_once_per_dimension():
+    assert sphere_spec(7) is sphere_spec(7)
+    for n in (1, 2, 3, 16, 341):
+        rho = (n - 1) / 2.0
+        vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        assert sphere_spec(n) == SphereSpec(n=n, rho=rho, shift=rho * rho, volume=vol)
+    for bad in (343, 0):
+        with pytest.raises(ValueError):
+            sphere_spec(bad)
+    assert sphere_spec.cache_info().currsize <= 342

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherezeta import kernels, specfun, zeta
 from spherezeta.kernels import KernelQuery, heat_trace, zeta_kernel
 from spherezeta.truncation import (
     DEFAULT_POLICY,
@@ -17,6 +18,7 @@ from spherezeta.truncation import (
     certified_sum,
     power_tail,
     shifted_power_sum,
+    shifted_power_sums,
     smallest_k,
 )
 from _oracles import ref_hurwitz
@@ -169,3 +171,85 @@ def test_returned_bound_never_exceeds_tol(call, tol):
     except (TruncationError, AccuracyError):
         return
     assert r.tail_bound <= tol
+
+
+def _one_exponent(p, a, policy):
+    # the single-sum form of shifted_power_sum: one 1-D power row through
+    # certified_sum; (value, terms_used, tail_bound) or (error type, message)
+    try:
+        r = certified_sum(lambda k: np.power(np.arange(k, dtype=float) + a, -p),
+                          lambda k: power_tail(p, a, k), policy, 16)
+    except (TruncationError, AccuracyError) as exc:
+        return type(exc), str(exc)
+    return r.value, r.terms_used, r.tail_bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=st.floats(0.55, 6.0),
+    count=st.integers(1, 90),
+    a=st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-13]),
+    max_k=st.sampled_from([64, 1024, 400_000]),
+)
+def test_power_sums_match_single_sums_bit_for_bit(s, count, a, tol, max_k):
+    # exponents 2s + m as in the binomial Hurwitz route, plus repeats; several
+    # share a rung and are summed as rows of one block
+    ps = [2.0 * s + m for m in range(count)] + [2.0 * s, 2.0 * s + 0.5]
+    policy = TruncationPolicy(max_k=max_k, tol=tol)
+    want = [_one_exponent(p, a, policy) for p in ps]
+    first_error = next((w for w in want if isinstance(w[0], type)), None)
+    if first_error is not None:
+        with pytest.raises(first_error[0]) as info:
+            shifted_power_sums(ps, a, policy)
+        assert str(info.value) == first_error[1]
+    else:
+        got = shifted_power_sums(ps, a, policy)
+        assert [(r.value, r.terms_used, r.tail_bound) for r in got] == want
+    for p, w in zip(ps[:3], want):
+        try:
+            r = shifted_power_sum(p, a, policy)
+        except (TruncationError, AccuracyError) as exc:
+            assert (type(exc), str(exc)) == w
+        else:
+            assert (r.value, r.terms_used, r.tail_bound) == w
+
+
+def test_power_sums_domain():
+    with pytest.raises(ValueError):
+        shifted_power_sums([2.0, 1.0], 1.0, DEFAULT_POLICY)
+    with pytest.raises(ValueError):
+        shifted_power_sums([2.0], -0.5, DEFAULT_POLICY)
+    assert shifted_power_sums([], 1.0, DEFAULT_POLICY) == []
+
+
+_PRODUCERS = {
+    "shifted_power_sum": lambda: [shifted_power_sum(2.5, 0.5, DEFAULT_POLICY)],
+    "shifted_power_sums": lambda: shifted_power_sums([2.5, 3.0, 9.0], 1.0, DEFAULT_POLICY),
+    "certified_sum": lambda: [certified_sum(lambda k: np.ones(k) * 1e-3,
+                                            lambda k: (0.0, 0.0), DEFAULT_POLICY, 8, 1.0)],
+    "riemann_zeta": lambda: [specfun.riemann_zeta(3.0)],
+    "hurwitz_zeta": lambda: [specfun.hurwitz_zeta(3.0, 0.25)],
+    "hurwitz_via_binomial": lambda: [specfun.hurwitz_via_binomial(2.0, 0.3, 80)],
+    "regularized_zeta": lambda: [zeta.regularized_zeta(2.5, 3)],
+    "spectral_zeta": lambda: [zeta.spectral_zeta(2.5, 3)],
+    "hurwitz_style_Z": lambda: [zeta.hurwitz_style_Z(2.0, 1.5)],
+    "_closed_form_terms": lambda: [zeta._closed_form_terms(3.0, n) for n in (1, 2, 3, 4)],
+    "compare_zeta_pair": lambda: [getattr(zeta.compare_zeta_pair(2.5, 3, 50), f)
+                                  for f in ("zeta_laplace", "zeta_shifted")],
+    "heat_kernel": lambda: [kernels.heat_kernel(0.3, KernelQuery(n=3, cos_gamma=0.2))],
+    "zeta_kernel": lambda: [zeta_kernel(3.0, KernelQuery(n=3, cos_gamma=0.2))],
+    "heat_trace": lambda: [heat_trace(0.3, 3)],
+    "mellin_zeta_kernel": lambda: [kernels.mellin_zeta_kernel(
+        2.25, KernelQuery(n=2, cos_gamma=0.3, policy=TruncationPolicy(tol=1e-7)))],
+}
+
+
+@pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+def test_every_eval_result_carries_python_numbers(producer):
+    # numpy scalars once leaked out (hurwitz_via_binomial's tail_bound was a
+    # np.float64); results are documented and compared as plain floats
+    for r in _PRODUCERS[producer]():
+        assert type(r.value) is float
+        assert type(r.tail_bound) is float
+        assert type(r.terms_used) is int
