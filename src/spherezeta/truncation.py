@@ -117,13 +117,13 @@ def smallest_k(bound, target: float, k_min: int, max_k: int) -> int:
 
 
 def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
-             tol: float, offset: float | None) -> EvalResult | AccuracyError:
-    """The result of ``certified_sum`` from its K-term head sums, or the
-    AccuracyError it raises."""
+             tol: float, offset: float | None) -> EvalResult:
+    """The result of ``certified_sum`` from the sum and the absolute sum of
+    its K head terms."""
     lead = 0.0 if offset is None else offset
     total = bound + _roundoff_allowance(abs_sum + abs(lead), k)
     if not total <= tol:
-        return AccuracyError(
+        raise AccuracyError(
             f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
             f"exceeds tol {tol:.3e}"
         )
@@ -145,11 +145,8 @@ def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
     k = smallest_k(lambda j: tail(j)[1], 0.5 * policy.tol, k_min, policy.max_k)
     est, bound = tail(k)
     head = terms(k)
-    out = _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
-                   policy.tol, offset)
-    if isinstance(out, AccuracyError):
-        raise out
-    return out
+    return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
+                    policy.tol, offset)
 
 
 def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResult]:
@@ -179,12 +176,15 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
         base = np.arange(k, dtype=float)[None, :] + a
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
-            block = np.power(base, -np.array([ps[i] for i in rows[lo:lo + step]])[:, None])
-            sums, abs_sums = np.sum(block, axis=1), np.sum(np.abs(block), axis=1)
-            for i, head_sum, abs_sum in zip(rows[lo:lo + step], sums.tolist(),
-                                            abs_sums.tolist()):
-                out[i] = _certify(head_sum, abs_sum, *power_tail(ps[i], a, k), k,
-                                  policy.tol, None)
+            chunk = rows[lo:lo + step]
+            block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
+            for i, head_sum, abs_sum in zip(chunk, np.sum(block, axis=1).tolist(),
+                                            np.sum(np.abs(block), axis=1).tolist()):
+                try:
+                    out[i] = _certify(head_sum, abs_sum, *power_tail(ps[i], a, k), k,
+                                      policy.tol, None)
+                except AccuracyError as exc:
+                    out[i] = exc
     for r in out:
         if isinstance(r, Exception):
             raise r

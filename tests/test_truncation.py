@@ -215,6 +215,18 @@ def test_power_sums_match_single_sums_bit_for_bit(s, count, a, tol, max_k):
             assert (r.value, r.terms_used, r.tail_bound) == w
 
 
+def test_power_sums_split_a_rung_into_bounded_blocks(monkeypatch):
+    # 50 entries a block: 3 rows at rung 16, and one row (over the budget) from
+    # rung 32 on; the results keep their bits
+    from spherezeta import truncation
+
+    ps = [2.4 + m for m in range(82)]
+    want = [_one_exponent(p, 1.0, truncation._TIGHT) for p in ps]
+    monkeypatch.setattr(truncation, "_BLOCK_ENTRIES", 50)
+    got = shifted_power_sums(ps, 1.0, truncation._TIGHT)
+    assert [(r.value, r.terms_used, r.tail_bound) for r in got] == want
+
+
 def test_power_sums_domain():
     with pytest.raises(ValueError):
         shifted_power_sums([2.0, 1.0], 1.0, DEFAULT_POLICY)
