@@ -140,11 +140,15 @@ def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
     if key != (n, t.hex()):
         key, r = (n, t.hex()), np.array([1.0, t])
     if len(r) <= kmax:
-        k0 = len(r)
-        r = np.concatenate((r, np.empty(kmax + 1 - k0)))
-        prev, cur = float(r[k0 - 2]), float(r[k0 - 1])
-        for j in range(k0, kmax + 1):
-            prev, cur = cur, ((2 * j + n - 3) * t * cur - (j - 1) * prev) / (j + n - 2)
-            r[j] = cur
+        j = np.arange(len(r), kmax + 1)
+        vals = r.tolist()
+        prev, cur = vals[-2], vals[-1]
+        # the integer factors as exact floats and (2j + n - 3) t formed first,
+        # as the scalar form ((2j + n - 3) t r_{k-1} - ...) rounds them
+        for a, b, c in zip(((2 * j + n - 3) * t).tolist(), (j - 1.0).tolist(),
+                           (j + n - 2.0).tolist()):
+            prev, cur = cur, (a * cur - b * prev) / c
+            vals.append(cur)
+        r = np.array(vals)
     _last_table = (key, r)
     return r

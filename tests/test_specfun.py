@@ -197,6 +197,18 @@ def test_gegenbauer_table_is_kept_per_angle_and_bit_identical():
     assert len(specfun._last_table[1]) == 4  # the 1301-entry table is gone
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 7, 40, 342]),
+                          st.sampled_from([-1.0, -0.999, -0.3, 0.0, 0.5, 0.91, 1.0]),
+                          st.integers(0, 3000)), min_size=1, max_size=8))
+def test_gegenbauer_tables_match_a_fresh_recurrence(calls):
+    # random interleavings of a few angles: a kept table is reused, grown or
+    # replaced, and every returned array has the bits of a run from k = 0
+    for n, t, kmax in calls:
+        got = gegenbauer_ratio_series(n, t, kmax).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in _fresh_recurrence(n, t, kmax)]
+
+
 def test_gegenbauer_series_is_the_callers_own():
     first = gegenbauer_ratio_series(4, 0.25, 200)
     want = first.copy()
