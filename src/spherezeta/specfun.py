@@ -130,6 +130,7 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
 # whole, never written once published, so a concurrent reader sees an old
 # table or a new one.
 _last_table: tuple = ((0, ""), np.empty(0))
+_CHUNK = 1024  # recurrence steps per batch of precomputed factors
 
 
 def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
@@ -140,15 +141,20 @@ def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
     if key != (n, t.hex()):
         key, r = (n, t.hex()), np.array([1.0, t])
     if len(r) <= kmax:
-        j = np.arange(len(r), kmax + 1)
-        vals = r.tolist()
-        prev, cur = vals[-2], vals[-1]
-        # the integer factors as exact floats and (2j + n - 3) t formed first,
-        # as the scalar form ((2j + n - 3) t r_{k-1} - ...) rounds them
-        for a, b, c in zip(((2 * j + n - 3) * t).tolist(), (j - 1.0).tolist(),
-                           (j + n - 2.0).tolist()):
-            prev, cur = cur, (a * cur - b * prev) / c
-            vals.append(cur)
-        r = np.array(vals)
+        k0 = len(r)
+        r = np.concatenate((r, np.empty(kmax + 1 - k0)))
+        prev, cur = float(r[k0 - 2]), float(r[k0 - 1])
+        # in chunks, so the Python floats alive at once stay few; the integer
+        # factors as exact floats and (2j + n - 3) t formed first, as the
+        # scalar form ((2j + n - 3) t r_{j-1} - (j - 1) r_{j-2}) / (j + n - 2)
+        # rounds them
+        for lo in range(k0, kmax + 1, _CHUNK):
+            j = np.arange(lo, min(lo + _CHUNK, kmax + 1))
+            vals = []
+            for a, b, c in zip(((2 * j + n - 3) * t).tolist(), (j - 1.0).tolist(),
+                               (j + n - 2.0).tolist()):
+                prev, cur = cur, (a * cur - b * prev) / c
+                vals.append(cur)
+            r[lo:lo + len(vals)] = vals
     _last_table = (key, r)
     return r
