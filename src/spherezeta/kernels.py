@@ -7,12 +7,17 @@ cos(gamma) = <x, y>, and are expanded in normalized Gegenbauer ratios r_k,
     zeta:  zeta_s(x, y)   = (1/V_n) sum_{k>=1} d_k lambda_k^(-s) r_k,
 
 with V_n the sphere volume, so that V_n * K_t on the diagonal reproduces
-the heat trace exactly.  Both are ``truncation.certified_sum`` calls over
-d_k r_k / V_n, with the k = 0 heat term 1/V_n passed as the offset.  Tail
-certificates rest on |r_k| <= 1: the heat family bounds the multiplicity by
-d_k(n) <= 2 (k+1)^(n-1) and closes with an incomplete-Gaussian integral;
-the zeta family uses the spectral zeta tail of ``zeta``, built on the exact
-multiplicity polynomial with midpoint-corrected monomial tails.
+the heat trace exactly.  Both sum d_k r_k / V_n, with the k = 0 heat term
+1/V_n as the offset.  Tail certificates rest on |r_k| <= 1, so the K rung
+(``truncation.certified_rung``) and its truncation bound depend on the kind,
+n, t or s and the policy, never on the angle: ``_zonal_rung`` keeps them for
+the last few such profiles, and each angle sums its own head to that K and
+is certified by ``truncation._certify``, the step every certified sum shares.
+A refusal is never kept, so it raises again at every angle.  Of the tails,
+the heat family bounds the multiplicity by d_k(n) <= 2 (k+1)^(n-1) and
+closes with an incomplete-Gaussian integral; the zeta family uses the
+spectral zeta tail of ``zeta``, built on the exact multiplicity polynomial
+with midpoint-corrected monomial tails.
 
 ``mellin_zeta_kernel`` reproduces the zeta kernel from the heat kernel via
 
@@ -33,23 +38,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .specfun import gegenbauer_ratio_series
-from .spectrum import _spectral_arrays, sphere_spec
+from .spectrum import _require_dimension, _spectral_arrays, sphere_spec
 from .truncation import (
     _EPS,
     DEFAULT_POLICY,
     AccuracyError,
     EvalResult,
     TruncationPolicy,
+    _certify,
     _roundoff_allowance,
+    certified_rung,
     certified_sum,
     smallest_k,
 )
-from .zeta import _spectral_tail
+from .zeta import _require_exponent, _spectral_tail
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,7 @@ class KernelQuery:
     policy: TruncationPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("sphere dimension n must be a positive integer")
+        _require_dimension(self.n)
         if not (-1.0 <= self.cos_gamma <= 1.0):
             raise ValueError("cos_gamma must lie in [-1, 1]")
 
@@ -109,34 +116,52 @@ def _heat_k_min(n: int, t: float) -> int:
     return max(8, math.ceil(min(math.sqrt((n - 1) / (2.0 * t)), 2.0**62)))
 
 
-def _zonal_sum(q: KernelQuery, decay, tail, k_min: int,
+def _zeta_tail(n: int, s: float, k_last: int) -> float:
+    """Bound on sum_{k > k_last} d_k lambda_k^(-s): the spectral zeta tail's
+    estimate plus its error bound."""
+    return sum(_spectral_tail(s, n, k_last))
+
+
+# One sweep visits the few profiles of one (n, t or s) at many angles, so a
+# handful of entries serve it; a pass over other profiles evicts them.
+_RUNG_ENTRIES = 8
+
+
+@lru_cache(maxsize=_RUNG_ENTRIES)
+def _zonal_rung(tail, n: int, x: float, policy: TruncationPolicy,
+                k_min: int) -> tuple[int, float]:
+    """(K, truncation bound) of a zonal sum with tail bound tail(n, x, K), both
+    over V_n; independent of the angle, so kept for the next one.  A refusal
+    raises and is not kept, so it raises again at every angle."""
+    vol = sphere_spec(n).volume
+    k, _, bound = certified_rung(lambda j: (0.0, tail(n, x, j) / vol), policy, k_min)
+    return k, bound
+
+
+def _zonal_sum(q: KernelQuery, decay, tail, x: float, k_min: int,
                offset: float | None = None) -> EvalResult:
     """Certified (1/V_n) [offset + sum_{k>=1} d_k r_k decay(lambda_k)],
-    where tail(K) bounds the unweighted sum past K (|r_k| <= 1)."""
+    where tail(n, x, K) bounds the unweighted sum past K (|r_k| <= 1)."""
     vol = sphere_spec(q.n).volume
-
-    def terms(k):
-        lam, _, d = _spectral_arrays(q.n, k)
-        return d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * decay(lam) / vol
-
-    return certified_sum(terms, lambda k: (0.0, tail(k) / vol), q.policy, k_min,
-                         None if offset is None else offset / vol)
+    k, bound = _zonal_rung(tail, q.n, x, q.policy, k_min)
+    lam, _, d = _spectral_arrays(q.n, k)
+    head = d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * decay(lam) / vol
+    return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), 0.0, bound, k,
+                    q.policy.tol, None if offset is None else offset / vol)
 
 
 def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
     """Zonal heat kernel K_t at cos(gamma), certified to q.policy.tol."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    return _zonal_sum(q, lambda lam: np.exp(-lam * t),
-                      lambda k: _heat_tail_bound(q.n, t, k), _heat_k_min(q.n, t), 1.0)
+    return _zonal_sum(q, lambda lam: np.exp(-lam * t), _heat_tail_bound, t,
+                      _heat_k_min(q.n, t), 1.0)
 
 
 def zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
-    """Zonal zeta kernel at cos(gamma) for s > n/2, certified to q.policy.tol."""
-    if not (s > q.n / 2.0):
-        raise ValueError("need s > n/2 for convergence")
-    return _zonal_sum(q, lambda lam: np.power(lam, -s),
-                      lambda k: sum(_spectral_tail(s, q.n, k)), 8)
+    """Zonal zeta kernel at cos(gamma) for finite s > n/2, certified to q.policy.tol."""
+    _require_exponent(s, q.n)
+    return _zonal_sum(q, lambda lam: np.power(lam, -s), _zeta_tail, s, 8)
 
 
 def heat_trace(t: float, n: int,
@@ -144,8 +169,7 @@ def heat_trace(t: float, n: int,
     """Tr e^{t Delta} = sum_{k>=0} d_k e^{-lambda_k t}, certified."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_dimension(n)
 
     def terms(k):
         lam, _, d = _spectral_arrays(n, k)
@@ -231,8 +255,7 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     far tail, node series and panel quadrature each get a certified quarter
     of q.policy.tol, roundoff comes on top, and a total over tol raises."""
     n, vol = q.n, sphere_spec(q.n).volume
-    if not (s > n / 2.0):
-        raise ValueError("need s > n/2 for convergence")
+    _require_exponent(s, n)
     tol = q.policy.tol
     # every budget and weight below is divided by Gamma(s), carried as its
     # log so that no intermediate overflows however large s is

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from .spectrum import _require_dimension
 from .truncation import (
     _EPS,
     _TIGHT,
@@ -115,8 +116,7 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     caller's own: writing to it leaves later calls unchanged."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_dimension(n)
     if not (-1.0 <= t <= 1.0):
         raise ValueError("argument t must lie in [-1, 1]")
     if n == 1:

@@ -14,6 +14,8 @@ Hurwitz-type sums.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,12 +45,17 @@ class SpectrumEntry:
 _MAX_SPEC_N = 342
 
 
+def _require_dimension(n) -> None:
+    """Refuse, before any summing, an n that is not a positive int."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("sphere dimension n must be a positive integer")
+
+
 # only n = 1.._MAX_SPEC_N pass the checks (a raise is not cached), so the
 # cache holds at most that many entries
 @lru_cache(maxsize=None)
 def sphere_spec(n: int) -> SphereSpec:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("sphere dimension n must be a positive integer")
+    _require_dimension(n)
     if n > _MAX_SPEC_N:
         raise ValueError(f"sphere dimension n = {n} exceeds {_MAX_SPEC_N}: "
                          "Gamma((n+1)/2) in the volume overflows a double")
@@ -58,15 +65,17 @@ def sphere_spec(n: int) -> SphereSpec:
 
 
 def eigenvalue(k: int, n: int) -> int:
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    _require_dimension(n)
+    if k < 0:
+        raise ValueError("need k >= 0")
     return k * (k + n - 1)
 
 
 def shifted_eigenvalue(k: int, n: int) -> float:
     """(k + (n-1)/2)^2, exact in binary floating point for moderate k."""
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    _require_dimension(n)
+    if k < 0:
+        raise ValueError("need k >= 0")
     # (2k + n - 1)^2 is an exact int; dividing by 4 is exact in binary.
     return (2 * k + n - 1) ** 2 / 4.0
 
@@ -80,8 +89,9 @@ def _comb0(m: int, r: int) -> int:
 
 def multiplicity(k: int, n: int) -> int:
     """Multiplicity of lambda_k on S^n, via the exact binomial difference."""
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    _require_dimension(n)
+    if k < 0:
+        raise ValueError("need k >= 0")
     return _comb0(k + n, n) - _comb0(k + n - 2, n)
 
 
@@ -91,8 +101,9 @@ def multiplicity_product_form(k: int, n: int) -> int:
     At k = 0 the factorial form degenerates for n = 1; the value there is 1
     for every n, which is what the expression gives wherever it is defined.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    _require_dimension(n)
+    if k < 0:
+        raise ValueError("need k >= 0")
     if k == 0:
         return 1
     num = (2 * k + n - 1) * math.factorial(k + n - 2)
@@ -106,10 +117,9 @@ def multiplicity_product_form(k: int, n: int) -> int:
 def spectrum_slice(n: int, kmax: int) -> list[SpectrumEntry]:
     """Entries k = 0..kmax; d_k = C(k + n, n) - C(k + n - 2, n) with both
     binomials advanced by exact integer steps, C(m, n) = C(m - 1, n) m / (m - n)."""
+    _require_dimension(n)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
     out = []
     up, down = 1, 0  # C(k + n, n), C(k + n - 2, n)
     for k in range(kmax + 1):
@@ -136,8 +146,7 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
     is odd or even in u.  For n = 1 the factorials cancel to the constant 2.
     Coefficients are computed in exact rational arithmetic and rounded once.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_dimension(n)
     if n == 1:
         return (2.0,)
     rho = Fraction(n - 1, 2)
@@ -154,19 +163,37 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs)
 
 
+# (lam, u, d) for k = 1..2^j of the last _SPECTRAL_NS dimensions asked for,
+# least recent first.  A longer request computes only the new k, with the
+# same elementwise formulas, so every entry is that of a fresh build; arrays
+# are replaced whole, never written once kept, so a view stays valid.
+_SPECTRAL_NS = 4
+_spectral_store: OrderedDict[int, tuple] = OrderedDict()
+_spectral_lock = threading.Lock()
+
+
 def _spectral_arrays(n: int, kmax: int):
     """Read-only float arrays (lam, mu_sqrt, d) for k = 1..kmax.
 
-    Views into a cached block whose length is kmax rounded up to a power of
-    two, so a ladder of nearby K shares one cache entry.
+    Views into the kept arrays of n, grown to kmax rounded up to a power of
+    two, so a ladder of nearby K and a later shorter request reuse them.
     """
-    block = _spectral_block(n, 1 << (max(kmax, 1) - 1).bit_length())
-    return tuple(a[:kmax] for a in block)
+    with _spectral_lock:
+        arrays = _spectral_store.pop(n, None)
+        if arrays is None or len(arrays[0]) < kmax:
+            lo = 0 if arrays is None else len(arrays[0])
+            new = _spectral_range(n, lo + 1, 1 << (max(kmax, 1) - 1).bit_length())
+            arrays = new if arrays is None else tuple(map(np.concatenate, zip(arrays, new)))
+            for arr in arrays:
+                arr.setflags(write=False)
+        _spectral_store[n] = arrays
+        if len(_spectral_store) > _SPECTRAL_NS:
+            _spectral_store.popitem(last=False)
+    return tuple(a[:kmax] for a in arrays)
 
 
-@lru_cache(maxsize=64)
-def _spectral_block(n: int, kmax: int):
-    k = np.arange(1, kmax + 1, dtype=float)
+def _spectral_range(n: int, k_lo: int, k_hi: int):
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
     lam = k * (k + n - 1)
     u = k + (n - 1) / 2.0
     # d_k = (2k + n - 1) C(k + n - 2, n - 2) / (n - 1) from the integer
@@ -178,6 +205,4 @@ def _spectral_block(n: int, kmax: int):
         for i in range(1, n - 1):
             d = d * (k + i) / i
         d = d * (2.0 * k + n - 1) / (n - 1)
-    for arr in (k, lam, u, d):
-        arr.setflags(write=False)
     return lam, u, d

@@ -9,9 +9,12 @@ budget the evaluator raises instead of silently returning a bad number.
 
 All certified sums go through one core.  ``smallest_k`` walks the single
 K ladder k_min, 2 k_min, 4 k_min, ... up to max_k until a tail bound meets
-its target; ``certified_sum`` takes K with truncation bound <= tol/2, sums,
-adds the roundoff allowance, and raises ``AccuracyError`` when that total
-exceeds tol.  ``shifted_power_sums`` certifies several exponents over one
+its target; ``certified_rung`` takes the first K with truncation bound
+<= tol/2, and ``certified_sum`` sums to that K, adds the roundoff allowance,
+and raises ``AccuracyError`` when that total exceeds tol (``_certify``).  The
+two halves are separate so that a caller whose tail does not depend on the
+terms, such as a kernel swept over angles, can pick the rung once and
+certify each sum on its own.  ``shifted_power_sums`` certifies several exponents over one
 shift at once: each exponent takes its own rung, and the exponents that
 share a rung are summed as the rows of one power block, each row certified
 as ``certified_sum`` certifies a single sum.
@@ -131,19 +134,24 @@ def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
                       terms_used=k + (offset is not None), tail_bound=total)
 
 
+def certified_rung(tail, policy: TruncationPolicy, k_min: int) -> tuple[int, float, float]:
+    """The K of ``certified_sum`` and its tail: the first rung of ``smallest_k``
+    whose bound tail(K)[1] is within tol/2, as (K, estimate, bound)."""
+    k = smallest_k(lambda j: tail(j)[1], 0.5 * policy.tol, k_min, policy.max_k)
+    return (k, *tail(k))
+
+
 def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
                   offset: float | None = None) -> EvalResult:
     """Certified value of offset + sum(terms(K)) + the tail estimate.
 
     terms(K) returns the first K terms and tail(K) an (estimate, bound)
-    pair for everything after them; K is the first rung of ``smallest_k``
-    whose bound is within tol/2.  offset is an exactly known leading term
+    pair for everything after them; K is ``certified_rung``'s.  offset is an exactly known leading term
     (counted in terms_used).  The returned bound is the truncation bound
     plus the roundoff allowance over sum|terms| + |offset|; if that total
     exceeds tol, AccuracyError is raised.
     """
-    k = smallest_k(lambda j: tail(j)[1], 0.5 * policy.tol, k_min, policy.max_k)
-    est, bound = tail(k)
+    k, est, bound = certified_rung(tail, policy, k_min)
     head = terms(k)
     return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
                     policy.tol, offset)

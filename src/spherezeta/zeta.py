@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorize import partial_sum_domination
-from .spectrum import _spectral_arrays, mult_poly_coeffs, sphere_spec
+from .spectrum import _require_dimension, _spectral_arrays, mult_poly_coeffs, sphere_spec
 from .truncation import (
     _TIGHT,
     DEFAULT_POLICY,
@@ -109,13 +109,20 @@ def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
     return est, bound
 
 
+def _require_exponent(s: float, n: int) -> None:
+    """Refuse, before any summing, an n that is not a sphere dimension and an
+    s that is not a finite number above n/2."""
+    _require_dimension(n)
+    if not (s > n / 2.0):
+        raise ValueError("need s > n/2 for convergence")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
+
+
 def _summed_series(s, n, policy, tail_fn, weight):
     """Shared driver: direct terms d_k weight(lam_k, k + rho), k = 1..K, plus
     a certified monomial tail."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not (s > n / 2.0):
-        raise ValueError("need s > n/2 for convergence")
+    _require_exponent(s, n)
 
     def terms(k):
         lam, u, d = _spectral_arrays(n, k)
@@ -150,6 +157,8 @@ def hurwitz_style_Z(s: float, c: float,
         raise ValueError("shift c must be positive")
     if not (2.0 * s > 1.0):
         raise ValueError("need 2s > 1 for convergence")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     return shifted_power_sum(2.0 * s, c, policy)
 
 
@@ -160,11 +169,10 @@ def _closed_form_terms(s: float, n: int) -> EvalResult:
     u = k + rho (``mult_poly_coeffs``); the inner sum is zeta_R(p) less its
     first rho terms, or (2^p - 1) zeta_R(p) less (j + 1/2)^(-p), j < rho,
     for half-integer rho."""
+    _require_exponent(s, n)
     if n not in (1, 2, 3, 4):
         # beyond n = 4 the a_m alternate in sign and cancel
         raise ValueError("closed forms implemented for n in {1, 2, 3, 4}")
-    if not (s > n / 2.0):
-        raise ValueError("need s > n/2")
     rho = (n - 1) / 2.0
     value, bound, terms = 0.0, 0.0, 0
     monomials = [(m, a_m) for m, a_m in enumerate(mult_poly_coeffs(n)) if a_m != 0.0]

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from spherezeta import kernels
@@ -21,13 +23,14 @@ from spherezeta.kernels import (
     zeta_kernel,
 )
 from spherezeta.specfun import gegenbauer_ratio_series
-from spherezeta.spectrum import sphere_spec
+from spherezeta.spectrum import _spectral_arrays, sphere_spec
 from spherezeta.truncation import (
     AccuracyError,
     TruncationError,
     TruncationPolicy,
+    certified_sum,
 )
-from spherezeta.zeta import spectral_zeta
+from spherezeta.zeta import _spectral_tail, spectral_zeta
 from _oracles import ref_circle_heat, ref_circle_zeta_kernel, ref_mult
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
@@ -421,3 +424,143 @@ def test_trace_envelope_dominates_exact_trace(n):
     # _quadrature_bound takes its maximum at the smallest Re t of each ellipse
     log_env = _log_trace_envelope(n, np.linspace(-10.0, 5.0, 3001))
     assert np.all(np.diff(log_env) <= 0.0)
+
+
+# --- one K rung per (kind, n, t or s, policy), shared by every angle ---
+
+def _outcome(fn, x, qq):
+    # (value, terms_used, tail_bound) in float hex, or (error type, message)
+    try:
+        r = fn(x, qq)
+    except (TruncationError, AccuracyError) as exc:
+        return type(exc).__name__, str(exc)
+    return r.value.hex(), r.terms_used, r.tail_bound.hex()
+
+
+_SHARED_POLICIES = [TruncationPolicy(tol=1e-8), TruncationPolicy(tol=1e-12),
+                    TruncationPolicy(max_k=64, tol=1e-10)]
+_SHARED_ANGLES = [-1.0, -0.6, 0.0, 0.45, 0.9, 1.0]
+
+
+@st.composite
+def _kernel_calls(draw):
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    if draw(st.booleans()):
+        fn, x = heat_kernel, draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+    else:
+        fn, x = zeta_kernel, n / 2.0 + draw(st.sampled_from([1.0, 2.5]))
+    return fn, x, q(n, draw(st.sampled_from(_SHARED_ANGLES)),
+                    draw(st.sampled_from(_SHARED_POLICIES)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_kernel_calls(), min_size=1, max_size=12))
+def test_shared_rungs_match_calls_with_the_store_cleared(calls):
+    # interleaved kinds, times, exponents, policies and angles: every result,
+    # refusals included, is that of a call made with an empty store
+    fresh = []
+    for fn, x, qq in calls:
+        kernels._zonal_rung.cache_clear()
+        fresh.append(_outcome(fn, x, qq))
+    kernels._zonal_rung.cache_clear()
+    assert [_outcome(fn, x, qq) for fn, x, qq in calls] == fresh
+
+
+def _unshared_kernel(kind, x, qq):
+    # the kernel as one truncation.certified_sum call with its own K ladder
+    n, vol = qq.n, sphere_spec(qq.n).volume
+    if kind == "heat":
+        decay, offset = (lambda lam: np.exp(-lam * x)), 1.0 / vol
+        tail, k_min = (lambda k: _heat_tail_bound(n, x, k)), _heat_k_min(n, x)
+    else:
+        decay, offset = (lambda lam: np.power(lam, -x)), None
+        tail, k_min = (lambda k: sum(_spectral_tail(x, n, k))), 8
+
+    def terms(k):
+        lam, _, d = _spectral_arrays(n, k)
+        return d * gegenbauer_ratio_series(n, qq.cos_gamma, k)[1:] * decay(lam) / vol
+
+    return _outcome(lambda _x, _q: certified_sum(terms, lambda k: (0.0, tail(k) / vol),
+                                                 qq.policy, k_min, offset), x, qq)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_shared_rungs_match_one_certified_sum_per_call(n):
+    kernels._zonal_rung.cache_clear()
+    pol = TruncationPolicy(tol=1e-9)
+    for cg in (0.3, -0.8, 1.0, 0.3, 0.0):
+        for t in (2e-3, 0.2):
+            assert _outcome(heat_kernel, t, q(n, cg, pol)) == _unshared_kernel("heat", t, q(n, cg, pol))
+        s = n / 2.0 + 1.25
+        assert _outcome(zeta_kernel, s, q(n, cg, pol)) == _unshared_kernel("zeta", s, q(n, cg, pol))
+
+
+def test_a_refusal_raises_again_at_every_angle():
+    kernels._zonal_rung.cache_clear()
+    tiny = TruncationPolicy(max_k=100, tol=1e-10)
+    msgs = set()
+    for cg in (0.5, -0.3, 1.0, 0.5):
+        with pytest.raises(TruncationError) as exc:
+            heat_kernel(1e-3, q(4, cg, tiny))
+        msgs.add(str(exc.value))
+    assert len(msgs) == 1 and "term budget" in msgs.pop()
+    assert kernels._zonal_rung.cache_info().currsize == 0  # refusals are not kept
+    # the roundoff allowance depends on the angle: on S^3 at t = 1e-3 and
+    # tol 1e-12 only the diagonal, where |r_k| = 1, blows the budget
+    tight = TruncationPolicy(tol=1e-12)
+    msgs = set()
+    for cg in (0.5, 1.0, -0.5, 1.0, 0.9):
+        qq = q(3, cg, tight)
+        if cg == 1.0:
+            with pytest.raises(AccuracyError) as exc:
+                heat_kernel(1e-3, qq)
+            msgs.add(str(exc.value))
+        else:
+            assert _outcome(heat_kernel, 1e-3, qq) == _unshared_kernel("heat", 1e-3, qq)
+    assert len(msgs) == 1
+
+
+def test_rung_store_is_bounded():
+    assert kernels._zonal_rung.cache_info().maxsize == kernels._RUNG_ENTRIES
+    for n in (1, 2, 3):
+        for t in (0.01, 0.02, 0.04, 0.08, 0.16):
+            heat_kernel(t, q(n, 0.5, TruncationPolicy(tol=1e-8)))
+            assert kernels._zonal_rung.cache_info().currsize <= kernels._RUNG_ENTRIES
+
+
+@pytest.mark.parametrize("kind", ["heat", "zeta"])
+def test_an_angle_sweep_walks_one_ladder_per_profile(monkeypatch, kind):
+    name = "_heat_tail_bound" if kind == "heat" else "_spectral_tail"
+    inner, calls = getattr(kernels, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, name, counted)
+    fn, x = (heat_kernel, 1e-3) if kind == "heat" else (zeta_kernel, 3.0)
+    pol = TruncationPolicy(tol=1e-8)
+    kernels._zonal_rung.cache_clear()
+    fn(x, q(3, 0.5, pol))
+    one = len(calls)
+    assert one >= 2  # at least one rung test and the tail at the chosen K
+    kernels._zonal_rung.cache_clear()
+    calls.clear()
+    for cg in np.linspace(-0.9, 1.0, 8).tolist():
+        fn(x, q(3, cg, pol))
+    assert len(calls) == one
+
+
+def test_inputs_are_checked_before_any_summing():
+    with pytest.raises(ValueError, match="positive integer"):
+        heat_trace(0.5, 2.0)
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            zeta_kernel(s, q(2, 0.5))
+        with pytest.raises(ValueError):
+            mellin_zeta_kernel(s, q(2, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        zeta_kernel(math.inf, q(2, 0.5))
+    # no volume is needed for the trace, so n past 342 still certifies
+    r = heat_trace(0.5, 400)
+    assert r.value == 1.0 and r.tail_bound <= 1e-10

@@ -1,9 +1,12 @@
 """Sphere spectrum: eigenvalues, multiplicities, and the exact shift."""
 
 import math
+import sys
+import threading
 
 import pytest
 
+from spherezeta import spectrum
 from spherezeta.spectrum import (
     SphereSpec,
     _spectral_arrays,
@@ -166,3 +169,66 @@ def test_sphere_spec_is_computed_once_per_dimension():
         with pytest.raises(ValueError):
             sphere_spec(bad)
     assert sphere_spec.cache_info().currsize <= 342
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectrum_slice(2.5, 3), lambda: spectrum_slice(2.0, 3),
+    lambda: multiplicity(2, 2.5), lambda: multiplicity_product_form(2, 3.0),
+    lambda: eigenvalue(2, 1.5), lambda: shifted_eigenvalue(1, 0),
+    lambda: mult_poly_coeffs(3.0), lambda: sphere_spec(2.0),
+])
+def test_a_fractional_or_nonpositive_dimension_is_refused(call):
+    # spectrum_slice(2.5, 3) used to return fractional "multiplicities"
+    with pytest.raises(ValueError, match="sphere dimension n must be a positive integer"):
+        call()
+
+
+def test_spectral_arrays_grow_in_place_of_a_rebuild():
+    # interleaved n with growing and shrinking K: every view has the bits of
+    # a fresh build from k = 1, at most _SPECTRAL_NS dimensions are kept,
+    # and no view can be written
+    calls = [(3, 10), (3, 300), (5, 40), (3, 17), (3, 1025), (8, 2), (2, 70), (9, 5),
+             (40, 600), (3, 64), (3, 2000), (5, 4096), (1, 1), (5, 100), (40, 1200)]
+    for n, kmax in calls:
+        got = _spectral_arrays(n, kmax)
+        want = spectrum._spectral_range(n, 1, kmax)
+        for g, w in zip(got, want):
+            assert len(g) == kmax and g.tobytes() == w.tobytes()
+            with pytest.raises(ValueError):
+                g[0] = 1.0
+        assert len(spectrum._spectral_store) <= spectrum._SPECTRAL_NS
+        assert next(reversed(spectrum._spectral_store)) == n
+        held = spectrum._spectral_store[n][0]
+        assert kmax <= len(held) and len(held) & (len(held) - 1) == 0
+
+
+def test_spectral_arrays_under_concurrent_callers():
+    # more threads than cores, each growing and reading several n: every view
+    # must still have the bits of a fresh build, and the store its bound
+    calls = [(n, kmax) for n in (2, 3, 5, 7, 11, 13) for kmax in (9, 130, 33, 1500, 260)]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(len(calls)):
+                n, kmax = calls[(i + offset) % len(calls)]
+                got = _spectral_arrays(n, kmax)
+                want = spectrum._spectral_range(n, 1, kmax)
+                if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
+                    errors.append((n, kmax))
+        except Exception as exc:  # noqa: BLE001 -- reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(spectrum._spectral_store) <= spectrum._SPECTRAL_NS

@@ -232,3 +232,23 @@ def test_tails_equal_looped_reference(n):
             regularized, spectral = _looped_tails(s, n, k_last, _JMAX)
             assert _regularized_tail(s, n, k_last) == regularized
             assert _spectral_tail(s, n, k_last) == spectral
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral_zeta(3.0, 2.5), lambda: regularized_zeta(3.0, 2.0),
+    lambda: compare_zeta_pair(3.0, 2.0, 10), lambda: closed_form_Z(3.0, 2.0),
+])
+def test_a_float_dimension_is_refused_before_any_summing(call):
+    # these raised a bare TypeError from inside the sums
+    with pytest.raises(ValueError, match="sphere dimension n must be a positive integer"):
+        call()
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fn", [regularized_zeta, spectral_zeta, closed_form_Z,
+                                lambda s, n: hurwitz_style_Z(s, 1.0),
+                                lambda s, n: compare_zeta_pair(s, n, 10)])
+def test_a_nonfinite_exponent_is_refused_up_front(fn, s):
+    # s = inf used to walk the K ladder to max_k and fail on a nan tail bound
+    with pytest.raises(ValueError):
+        fn(s, 2)
