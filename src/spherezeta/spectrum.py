@@ -193,6 +193,7 @@ def _spectral_arrays(n: int, kmax: int):
 
 
 def _spectral_range(n: int, k_lo: int, k_hi: int):
+    """Float arrays (lam, mu_sqrt, d) for k = k_lo..k_hi, each entry a function of k alone."""
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     lam = k * (k + n - 1)
     u = k + (n - 1) / 2.0
