@@ -14,10 +14,10 @@ its target; ``certified_rung`` takes the first K with truncation bound
 and raises ``AccuracyError`` when that total exceeds tol (``_certify``).  The
 two halves are separate so that a caller whose tail does not depend on the
 terms, such as a kernel swept over angles, can pick the rung once and
-certify each sum on its own.  ``shifted_power_sums`` certifies several exponents over one
-shift at once: each exponent takes its own rung, and the exponents that
-share a rung are summed as the rows of one power block, each row certified
-as ``certified_sum`` certifies a single sum.
+certify each sum on its own.  ``shifted_power_sums`` certifies several
+exponents over one shift at once: each exponent takes its own rung, and the
+exponents that share a rung are summed as the rows of one power block, each
+row certified as ``certified_sum`` certifies a single sum.
 
 The workhorse tail is the midpoint-rule estimate for sums of decreasing
 convex terms f(k) = (k + a)^(-p):
@@ -146,10 +146,11 @@ def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
     """Certified value of offset + sum(terms(K)) + the tail estimate.
 
     terms(K) returns the first K terms and tail(K) an (estimate, bound)
-    pair for everything after them; K is ``certified_rung``'s.  offset is an exactly known leading term
-    (counted in terms_used).  The returned bound is the truncation bound
-    plus the roundoff allowance over sum|terms| + |offset|; if that total
-    exceeds tol, AccuracyError is raised.
+    pair for everything after them; K is ``certified_rung``'s.  offset is
+    an exactly known leading term (counted in terms_used).  The returned
+    bound is the truncation bound plus the roundoff allowance over
+    sum|terms| + |offset|; if that total exceeds tol, AccuracyError is
+    raised.
     """
     k, est, bound = certified_rung(tail, policy, k_min)
     head = terms(k)

@@ -489,10 +489,11 @@ def test_shared_rungs_match_one_certified_sum_per_call(n):
     kernels._zonal_rung.cache_clear()
     pol = TruncationPolicy(tol=1e-9)
     for cg in (0.3, -0.8, 1.0, 0.3, 0.0):
+        qq = q(n, cg, pol)
         for t in (2e-3, 0.2):
-            assert _outcome(heat_kernel, t, q(n, cg, pol)) == _unshared_kernel("heat", t, q(n, cg, pol))
+            assert _outcome(heat_kernel, t, qq) == _unshared_kernel("heat", t, qq)
         s = n / 2.0 + 1.25
-        assert _outcome(zeta_kernel, s, q(n, cg, pol)) == _unshared_kernel("zeta", s, q(n, cg, pol))
+        assert _outcome(zeta_kernel, s, qq) == _unshared_kernel("zeta", s, qq)
 
 
 def test_a_refusal_raises_again_at_every_angle():
