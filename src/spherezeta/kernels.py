@@ -169,7 +169,7 @@ def heat_trace(t: float, n: int,
     """Tr e^{t Delta} = sum_{k>=0} d_k e^{-lambda_k t}, certified."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    _require_dimension(n)
+    n = _require_dimension(n)
 
     def terms(k):
         lam, _, d = _spectral_arrays(n, k)

@@ -116,7 +116,7 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     caller's own: writing to it leaves later calls unchanged."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    _require_dimension(n)
+    n = _require_dimension(n)
     if not (-1.0 <= t <= 1.0):
         raise ValueError("argument t must lie in [-1, 1]")
     if n == 1:

@@ -14,8 +14,7 @@ Hurwitz-type sums.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,17 +44,20 @@ class SpectrumEntry:
 _MAX_SPEC_N = 342
 
 
-def _require_dimension(n) -> None:
-    """Refuse, before any summing, an n that is not a positive int."""
-    if not isinstance(n, int) or n < 1:
+def _require_dimension(n) -> int:
+    """n as an int, refused before any summing unless it is a positive
+    integer (a bool or a float such as 2.0 is refused; a numpy integer is
+    converted, so exact integer steps stay exact)."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise ValueError("sphere dimension n must be a positive integer")
+    return int(n)
 
 
 # only n = 1.._MAX_SPEC_N pass the checks (a raise is not cached), so the
 # cache holds at most that many entries
 @lru_cache(maxsize=None)
 def sphere_spec(n: int) -> SphereSpec:
-    _require_dimension(n)
+    n = _require_dimension(n)
     if n > _MAX_SPEC_N:
         raise ValueError(f"sphere dimension n = {n} exceeds {_MAX_SPEC_N}: "
                          "Gamma((n+1)/2) in the volume overflows a double")
@@ -65,7 +67,7 @@ def sphere_spec(n: int) -> SphereSpec:
 
 
 def eigenvalue(k: int, n: int) -> int:
-    _require_dimension(n)
+    n = _require_dimension(n)
     if k < 0:
         raise ValueError("need k >= 0")
     return k * (k + n - 1)
@@ -73,7 +75,7 @@ def eigenvalue(k: int, n: int) -> int:
 
 def shifted_eigenvalue(k: int, n: int) -> float:
     """(k + (n-1)/2)^2, exact in binary floating point for moderate k."""
-    _require_dimension(n)
+    n = _require_dimension(n)
     if k < 0:
         raise ValueError("need k >= 0")
     # (2k + n - 1)^2 is an exact int; dividing by 4 is exact in binary.
@@ -89,7 +91,7 @@ def _comb0(m: int, r: int) -> int:
 
 def multiplicity(k: int, n: int) -> int:
     """Multiplicity of lambda_k on S^n, via the exact binomial difference."""
-    _require_dimension(n)
+    n = _require_dimension(n)
     if k < 0:
         raise ValueError("need k >= 0")
     return _comb0(k + n, n) - _comb0(k + n - 2, n)
@@ -101,7 +103,7 @@ def multiplicity_product_form(k: int, n: int) -> int:
     At k = 0 the factorial form degenerates for n = 1; the value there is 1
     for every n, which is what the expression gives wherever it is defined.
     """
-    _require_dimension(n)
+    n = _require_dimension(n)
     if k < 0:
         raise ValueError("need k >= 0")
     if k == 0:
@@ -117,7 +119,7 @@ def multiplicity_product_form(k: int, n: int) -> int:
 def spectrum_slice(n: int, kmax: int) -> list[SpectrumEntry]:
     """Entries k = 0..kmax; d_k = C(k + n, n) - C(k + n - 2, n) with both
     binomials advanced by exact integer steps, C(m, n) = C(m - 1, n) m / (m - n)."""
-    _require_dimension(n)
+    n = _require_dimension(n)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     out = []
@@ -146,7 +148,7 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
     is odd or even in u.  For n = 1 the factorials cancel to the constant 2.
     Coefficients are computed in exact rational arithmetic and rounded once.
     """
-    _require_dimension(n)
+    n = _require_dimension(n)
     if n == 1:
         return (2.0,)
     rho = Fraction(n - 1, 2)
@@ -163,13 +165,12 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs)
 
 
-# (lam, u, d) for k = 1..2^j of the last _SPECTRAL_NS dimensions asked for,
-# least recent first.  A longer request computes only the new k, with the
-# same elementwise formulas, so every entry is that of a fresh build; arrays
-# are replaced whole, never written once kept, so a view stays valid.
-_SPECTRAL_NS = 4
-_spectral_store: OrderedDict[int, tuple] = OrderedDict()
-_spectral_lock = threading.Lock()
+# (n, (lam, u, d)) for k = 1..2^j of the last n asked for.  A longer request
+# computes only the new k, with the same elementwise formulas, so every entry
+# is that of a fresh build.  The arrays are never written once kept and the
+# tuple is replaced whole, so a view stays valid and a concurrent reader sees
+# the old arrays or the new ones.
+_last_arrays: tuple = (0, (np.empty(0), np.empty(0), np.empty(0)))
 
 
 def _spectral_arrays(n: int, kmax: int):
@@ -178,17 +179,17 @@ def _spectral_arrays(n: int, kmax: int):
     Views into the kept arrays of n, grown to kmax rounded up to a power of
     two, so a ladder of nearby K and a later shorter request reuse them.
     """
-    with _spectral_lock:
-        arrays = _spectral_store.pop(n, None)
-        if arrays is None or len(arrays[0]) < kmax:
-            lo = 0 if arrays is None else len(arrays[0])
-            new = _spectral_range(n, lo + 1, 1 << (max(kmax, 1) - 1).bit_length())
-            arrays = new if arrays is None else tuple(map(np.concatenate, zip(arrays, new)))
-            for arr in arrays:
-                arr.setflags(write=False)
-        _spectral_store[n] = arrays
-        if len(_spectral_store) > _SPECTRAL_NS:
-            _spectral_store.popitem(last=False)
+    global _last_arrays
+    held_n, arrays = _last_arrays
+    if held_n != n:
+        arrays = None
+    if arrays is None or len(arrays[0]) < kmax:
+        lo = 0 if arrays is None else len(arrays[0])
+        new = _spectral_range(n, lo + 1, 1 << (max(kmax, 1) - 1).bit_length())
+        arrays = new if arrays is None else tuple(map(np.concatenate, zip(arrays, new)))
+        for arr in arrays:
+            arr.setflags(write=False)
+        _last_arrays = (n, arrays)
     return tuple(a[:kmax] for a in arrays)
 
 

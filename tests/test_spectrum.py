@@ -4,9 +4,12 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from spherezeta import spectrum
+from spherezeta.kernels import heat_trace
+from spherezeta.specfun import gegenbauer_ratio_series
 from spherezeta.spectrum import (
     SphereSpec,
     _spectral_arrays,
@@ -18,6 +21,7 @@ from spherezeta.spectrum import (
     spectrum_slice,
     sphere_spec,
 )
+from spherezeta.zeta import regularized_zeta, spectral_zeta
 from _oracles import mult_u_poly, ref_mult
 
 
@@ -175,7 +179,7 @@ def test_sphere_spec_is_computed_once_per_dimension():
     lambda: spectrum_slice(2.5, 3), lambda: spectrum_slice(2.0, 3),
     lambda: multiplicity(2, 2.5), lambda: multiplicity_product_form(2, 3.0),
     lambda: eigenvalue(2, 1.5), lambda: shifted_eigenvalue(1, 0),
-    lambda: mult_poly_coeffs(3.0), lambda: sphere_spec(2.0),
+    lambda: mult_poly_coeffs(3.0), lambda: sphere_spec(2.0), lambda: sphere_spec(True),
 ])
 def test_a_fractional_or_nonpositive_dimension_is_refused(call):
     # spectrum_slice(2.5, 3) used to return fractional "multiplicities"
@@ -183,10 +187,23 @@ def test_a_fractional_or_nonpositive_dimension_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: spectral_zeta(3.0, n), lambda n: regularized_zeta(3.0, n),
+    lambda n: heat_trace(0.5, n), lambda n: spectrum_slice(n, 6),
+    lambda n: multiplicity(4, n), lambda n: eigenvalue(4, n), lambda n: mult_poly_coeffs(n),
+    lambda n: gegenbauer_ratio_series(n, 0.3, 40).tolist(), lambda n: sphere_spec(n),
+    lambda n: spectrum_slice(n + 57, 80), lambda n: multiplicity_product_form(80, n + 57),
+])
+def test_a_numpy_integer_dimension_is_accepted(call):
+    # an integral n of another integer type gives the result of the int, also
+    # where the exact multiplicities leave the int64 range (n = 60, k = 80)
+    assert call(np.int64(3)) == call(3)
+
+
 def test_spectral_arrays_grow_in_place_of_a_rebuild():
     # interleaved n with growing and shrinking K: every view has the bits of
-    # a fresh build from k = 1, at most _SPECTRAL_NS dimensions are kept,
-    # and no view can be written
+    # a fresh build from k = 1, only the last n is kept, and no view can be
+    # written
     calls = [(3, 10), (3, 300), (5, 40), (3, 17), (3, 1025), (8, 2), (2, 70), (9, 5),
              (40, 600), (3, 64), (3, 2000), (5, 4096), (1, 1), (5, 100), (40, 1200)]
     for n, kmax in calls:
@@ -196,15 +213,14 @@ def test_spectral_arrays_grow_in_place_of_a_rebuild():
             assert len(g) == kmax and g.tobytes() == w.tobytes()
             with pytest.raises(ValueError):
                 g[0] = 1.0
-        assert len(spectrum._spectral_store) <= spectrum._SPECTRAL_NS
-        assert next(reversed(spectrum._spectral_store)) == n
-        held = spectrum._spectral_store[n][0]
-        assert kmax <= len(held) and len(held) & (len(held) - 1) == 0
+        held_n, held = spectrum._last_arrays
+        assert held_n == n
+        assert kmax <= len(held[0]) and len(held[0]) & (len(held[0]) - 1) == 0
 
 
 def test_spectral_arrays_under_concurrent_callers():
     # more threads than cores, each growing and reading several n: every view
-    # must still have the bits of a fresh build, and the store its bound
+    # must still have the bits of a fresh build
     calls = [(n, kmax) for n in (2, 3, 5, 7, 11, 13) for kmax in (9, 130, 33, 1500, 260)]
     errors = []
 
@@ -231,4 +247,3 @@ def test_spectral_arrays_under_concurrent_callers():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    assert len(spectrum._spectral_store) <= spectrum._SPECTRAL_NS
