@@ -23,7 +23,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_cli.txt")
 # the remaining kato checks, majorize --weak and the other kernel/zeta forms,
 # then the series paths that share work: the spectrum multiplicities, the
 # closed form's Riemann values, two kernels at one angle and a long
-# Gegenbauer table
+# Gegenbauer table, then kernels on the diagonal and at the antipode and a
+# spectrum whose multiplicities outgrow 2^53
 COMMANDS = [
     "spectrum --n 3 --kmax 10",
     "zeta --n 2 --s 2.0 --form closed",
@@ -51,6 +52,9 @@ COMMANDS = [
     "kernel --kind heat --n 5 --t 0.001 --cos-gamma 0.3",
     "kernel --kind zeta --n 5 --s 4.0 --cos-gamma 0.3",
     "specfun gegenbauer --k 150 --n 7 --t 0.3",
+    "kernel --kind heat --n 6 --t 0.01 --cos-gamma 1",
+    "kernel --kind zeta --n 4 --s 4.0 --cos-gamma=-1",
+    "spectrum --n 20 --kmax 60",
 ]
 
 
