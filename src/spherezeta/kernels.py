@@ -9,10 +9,11 @@ cos(gamma) = <x, y>, and are expanded in normalized Gegenbauer ratios r_k,
 with V_n the sphere volume, so that V_n * K_t on the diagonal reproduces
 the heat trace exactly.  Both sum d_k r_k / V_n, with the k = 0 heat term
 1/V_n as the offset.  Tail certificates rest on |r_k| <= 1, so the K rung
-(``truncation.certified_rung``) and its truncation bound depend on the kind,
-n, t or s and the policy, never on the angle: ``_zonal_rung`` keeps them for
-the last few such profiles, and each angle sums its own head to that K and
-is certified by ``truncation._certify``, the step every certified sum shares.
+(``truncation.certified_rung``), its truncation bound and the decay vector
+e^{-lambda_k t} or lambda_k^(-s), k = 1..K, depend on the kind, n, t or s
+and the policy, never on the angle: ``_zonal_rung`` keeps them for the last
+few such profiles, and each angle sums its own head to that K and is
+certified by ``truncation._certify``, the step every certified sum shares.
 A refusal is never kept, so it raises again at every angle.  Of the tails,
 the heat family bounds the multiplicity by d_k(n) <= 2 (k+1)^(n-1) and
 closes with an incomplete-Gaussian integral; the zeta family uses the
@@ -127,25 +128,37 @@ def _zeta_tail(n: int, s: float, k_last: int) -> float:
 _RUNG_ENTRIES = 8
 
 
+def _heat_decay(lam, t: float):
+    return np.exp(-lam * t)
+
+
+def _zeta_decay(lam, s: float):
+    return np.power(lam, -s)
+
+
 @lru_cache(maxsize=_RUNG_ENTRIES)
-def _zonal_rung(tail, n: int, x: float, policy: TruncationPolicy,
-                k_min: int) -> tuple[int, float]:
-    """(K, truncation bound) of a zonal sum with tail bound tail(n, x, K), both
-    over V_n; independent of the angle, so kept for the next one.  A refusal
-    raises and is not kept, so it raises again at every angle."""
+def _zonal_rung(tail, decay, n: int, x: float, policy: TruncationPolicy,
+                k_min: int) -> tuple[int, float, np.ndarray]:
+    """(K, truncation bound, decay(lambda_k, x) for k = 1..K) of a zonal sum
+    with tail bound tail(n, x, K), the bound over V_n; independent of the
+    angle, so kept for the next one.  The decay vector is a new read-only
+    array, no view into the spectral arrays.  A refusal raises and is not
+    kept, so it raises again at every angle."""
     vol = sphere_spec(n).volume
     k, _, bound = certified_rung(lambda j: (0.0, tail(n, x, j) / vol), policy, k_min)
-    return k, bound
+    dec = decay(_spectral_arrays(n, k)[0], x)
+    dec.setflags(write=False)
+    return k, bound, dec
 
 
 def _zonal_sum(q: KernelQuery, decay, tail, x: float, k_min: int,
                offset: float | None = None) -> EvalResult:
-    """Certified (1/V_n) [offset + sum_{k>=1} d_k r_k decay(lambda_k)],
+    """Certified (1/V_n) [offset + sum_{k>=1} d_k r_k decay(lambda_k, x)],
     where tail(n, x, K) bounds the unweighted sum past K (|r_k| <= 1)."""
     vol = sphere_spec(q.n).volume
-    k, bound = _zonal_rung(tail, q.n, x, q.policy, k_min)
-    lam, _, d = _spectral_arrays(q.n, k)
-    head = d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * decay(lam) / vol
+    k, bound, dec = _zonal_rung(tail, decay, q.n, x, q.policy, k_min)
+    d = _spectral_arrays(q.n, k)[2]
+    head = d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * dec / vol
     return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), 0.0, bound, k,
                     q.policy.tol, None if offset is None else offset / vol)
 
@@ -154,14 +167,13 @@ def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
     """Zonal heat kernel K_t at cos(gamma), certified to q.policy.tol."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    return _zonal_sum(q, lambda lam: np.exp(-lam * t), _heat_tail_bound, t,
-                      _heat_k_min(q.n, t), 1.0)
+    return _zonal_sum(q, _heat_decay, _heat_tail_bound, t, _heat_k_min(q.n, t), 1.0)
 
 
 def zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     """Zonal zeta kernel at cos(gamma) for finite s > n/2, certified to q.policy.tol."""
     _require_exponent(s, q.n)
-    return _zonal_sum(q, lambda lam: np.power(lam, -s), _zeta_tail, s, 8)
+    return _zonal_sum(q, _zeta_decay, _zeta_tail, s, 8)
 
 
 def heat_trace(t: float, n: int,

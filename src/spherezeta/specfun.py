@@ -17,7 +17,9 @@ Gegenbauer ratios r_k = C_k^{alpha}(t) / C_k^{alpha}(1) with alpha =
 (n-1)/2 are generated by a three-term recurrence that is uniform in n >= 2;
 the n = 1 boundary case is the Chebyshev limit cos(k arccos t).  The table
 of the last (n, t) asked for is kept, and a longer request continues its
-recurrence from the last two entries, so the kernels at one angle share it.
+recurrence from the last two entries, so the kernels at one angle share it;
+on the diagonal and at the antipode, t = +-1, the table is r_k = t^k, which
+is what the recurrence gives there, and is built without it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .spectrum import _require_dimension
+from .spectrum import _require_dimension, _require_int
 from .truncation import (
     _EPS,
     _TIGHT,
@@ -70,8 +72,7 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
         raise ValueError("hurwitz_via_binomial requires s > 1")
     if not (0.0 < rho < 1.0):
         raise ValueError("hurwitz_via_binomial requires 0 < rho < 1")
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    m_max = _require_int(m_max, 0, "m_max must be a nonnegative integer")
 
     p = 2.0 * s
     value = rho ** (-p)
@@ -104,8 +105,7 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
 def gegenbauer_ratio(k: int, n: int, t: float) -> float:
     """r_k = C_k^{(n-1)/2}(t) / C_k^{(n-1)/2}(1), the zonal profile on S^n;
     |r_k| <= 1 throughout [-1, 1]."""
-    if k < 0:
-        raise ValueError("degree k must be nonnegative")
+    k = _require_int(k, 0, "degree k must be a nonnegative integer")
     return float(gegenbauer_ratio_series(n, t, k)[k])
 
 
@@ -114,8 +114,7 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     r_1 = t and (k + n - 2) r_k = (2k + n - 3) t r_{k-1} - (k - 1) r_{k-2}
     for n >= 2; n = 1 degenerates to cos(k arccos t).  The array is the
     caller's own: writing to it leaves later calls unchanged."""
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    kmax = _require_int(kmax, 0, "kmax must be a nonnegative integer")
     n = _require_dimension(n)
     if not (-1.0 <= t <= 1.0):
         raise ValueError("argument t must lie in [-1, 1]")
@@ -135,8 +134,15 @@ _CHUNK = 1024  # recurrence steps per batch of precomputed factors
 
 def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
     """[r_0, ..., r_K], K >= kmax, for n >= 2: the kept table when it is for
-    (n, t), else a fresh one, extended by the same recurrence steps."""
+    (n, t), else a fresh one, extended by the same recurrence steps.  At
+    t = 1 and t = -1 every factor of a step is an integer-valued float, so
+    the recurrence gives r_k = t^k exactly; that table is built directly
+    and not kept."""
     global _last_table
+    if t == 1.0 or t == -1.0:
+        r = np.ones(kmax + 1)
+        r[1::2] = t
+        return r
     key, r = _last_table
     if key != (n, t.hex()):
         key, r = (n, t.hex()), np.array([1.0, t])

@@ -18,6 +18,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,7 @@ class SphereSpec:
     volume: float     # 2 pi^((n+1)/2) / Gamma((n+1)/2)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     k: int
     lam: float        # k (k + n - 1)
     mu: float         # lam + shift = (k + rho)^2
@@ -44,13 +45,21 @@ class SpectrumEntry:
 _MAX_SPEC_N = 342
 
 
+def _require_int(x, least: int, message: str) -> int:
+    """x as an int, refused with ValueError(message) before any summing unless
+    it is an integer >= least (a bool or a float such as 2.0 is refused; a
+    numpy integer is converted, so exact integer steps stay exact)."""
+    if type(x) is not int:  # the common case skips the slower ABC check
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise ValueError(message)
+        x = int(x)
+    if x < least:
+        raise ValueError(message)
+    return x
+
+
 def _require_dimension(n) -> int:
-    """n as an int, refused before any summing unless it is a positive
-    integer (a bool or a float such as 2.0 is refused; a numpy integer is
-    converted, so exact integer steps stay exact)."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ValueError("sphere dimension n must be a positive integer")
-    return int(n)
+    return _require_int(n, 1, "sphere dimension n must be a positive integer")
 
 
 # only n = 1.._MAX_SPEC_N pass the checks (a raise is not cached), so the
@@ -68,16 +77,14 @@ def sphere_spec(n: int) -> SphereSpec:
 
 def eigenvalue(k: int, n: int) -> int:
     n = _require_dimension(n)
-    if k < 0:
-        raise ValueError("need k >= 0")
+    k = _require_int(k, 0, "degree k must be a nonnegative integer")
     return k * (k + n - 1)
 
 
 def shifted_eigenvalue(k: int, n: int) -> float:
     """(k + (n-1)/2)^2, exact in binary floating point for moderate k."""
     n = _require_dimension(n)
-    if k < 0:
-        raise ValueError("need k >= 0")
+    k = _require_int(k, 0, "degree k must be a nonnegative integer")
     # (2k + n - 1)^2 is an exact int; dividing by 4 is exact in binary.
     return (2 * k + n - 1) ** 2 / 4.0
 
@@ -92,8 +99,7 @@ def _comb0(m: int, r: int) -> int:
 def multiplicity(k: int, n: int) -> int:
     """Multiplicity of lambda_k on S^n, via the exact binomial difference."""
     n = _require_dimension(n)
-    if k < 0:
-        raise ValueError("need k >= 0")
+    k = _require_int(k, 0, "degree k must be a nonnegative integer")
     return _comb0(k + n, n) - _comb0(k + n - 2, n)
 
 
@@ -104,8 +110,7 @@ def multiplicity_product_form(k: int, n: int) -> int:
     for every n, which is what the expression gives wherever it is defined.
     """
     n = _require_dimension(n)
-    if k < 0:
-        raise ValueError("need k >= 0")
+    k = _require_int(k, 0, "degree k must be a nonnegative integer")
     if k == 0:
         return 1
     num = (2 * k + n - 1) * math.factorial(k + n - 2)
@@ -117,23 +122,20 @@ def multiplicity_product_form(k: int, n: int) -> int:
 
 
 def spectrum_slice(n: int, kmax: int) -> list[SpectrumEntry]:
-    """Entries k = 0..kmax; d_k = C(k + n, n) - C(k + n - 2, n) with both
-    binomials advanced by exact integer steps, C(m, n) = C(m - 1, n) m / (m - n)."""
+    """Entries k = 0..kmax; d_k = C(k + n, n) - C(k + n - 2, n), with C(k + n, n)
+    advanced by exact integer steps C(m, n) = C(m - 1, n) m / (m - n)."""
     n = _require_dimension(n)
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    out = []
-    up, down = 1, 0  # C(k + n, n), C(k + n - 2, n)
-    for k in range(kmax + 1):
-        if k > 0:
-            up = up * (k + n) // k
-        if k == 2:
-            down = 1
-        elif k > 2:
-            down = down * (k + n - 2) // (k - 2)
-        out.append(SpectrumEntry(k=k, lam=float(k * (k + n - 1)),
-                                 mu=(2 * k + n - 1) ** 2 / 4.0, d=up - down))
-    return out
+    kmax = _require_int(kmax, 0, "kmax must be a nonnegative integer")
+    # up[k] = C(k + n, n), and C(k + n - 2, n) = up[k - 2] (0 for k < 2)
+    up = list(accumulate(range(1, kmax + 1), lambda c, k: c * (k + n) // k, initial=1))
+    d = list(map(int.__sub__, up, [0, 0] + up[:-2]))
+    # lambda_k and (2k + n - 1)^2 as exact integers, each rounded once to a
+    # float as float(int) rounds it; int64 holds them while 2 kmax + n < 2^31
+    k = np.arange(kmax + 1, dtype=np.int64 if 2 * kmax + n < 1 << 31 else object)
+    lam = (k * (k + (n - 1))).astype(float).tolist()
+    mu = ((2 * k + (n - 1)) ** 2).astype(float) / 4.0
+    return list(map(tuple.__new__, repeat(SpectrumEntry),
+                    zip(range(kmax + 1), lam, mu.tolist(), d)))
 
 
 @lru_cache(maxsize=64)

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import _require_int
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -62,8 +64,9 @@ class TruncationPolicy:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_k < 1:
-            raise ValueError("max_k must be a positive integer")
+        # a numpy integer is kept as the int it equals
+        object.__setattr__(self, "max_k",
+                           _require_int(self.max_k, 1, "max_k must be a positive integer"))
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
 
@@ -95,6 +98,11 @@ def power_tail(p: float, a: float, k_from: int) -> tuple[float, float]:
     z = k_from - 0.5 + a
     if z <= 0.0:
         raise ValueError("tail start must satisfy k_from + a > 1/2")
+    return _power_tail(p, z)
+
+
+def _power_tail(p: float, z: float) -> tuple[float, float]:
+    # the unchecked formula of power_tail at z = k_from - 1/2 + a
     est = z ** (1.0 - p) / (p - 1.0)
     bound = (p * (p + 1.0) * z ** (-p - 2.0) + p * z ** (-p - 1.0)) / 24.0
     return est, bound
@@ -111,12 +119,14 @@ def smallest_k(bound, target: float, k_min: int, max_k: int) -> int:
     k = min(k_min, max_k)
     while not bound(k) <= target:
         if k >= max_k:
-            raise TruncationError(
-                f"tail bound {bound(k):.3e} still exceeds {target:.3e} "
-                f"at the term budget max_k={max_k}"
-            )
+            raise _budget_error(bound(k), target, max_k)
         k = min(2 * k, max_k)
     return k
+
+
+def _budget_error(bound: float, target: float, max_k: int) -> TruncationError:
+    return TruncationError(f"tail bound {bound:.3e} still exceeds {target:.3e} "
+                           f"at the term budget max_k={max_k}")
 
 
 def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
@@ -161,37 +171,49 @@ def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
 def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResult]:
     """Certified sum_{k >= 0} (k + a)^(-p) for every p in ps (each p > 1), a > 0.
 
-    Each result equals ``shifted_power_sum(p, a, policy)`` bit for bit: every
-    exponent takes its own rung of the K ladder, and the exponents on one rung
-    are the rows of one np.power block.  A failure raises what the first
-    failing exponent, taken in order, raises on its own.
+    Each result equals what ``certified_sum`` gives for that exponent alone,
+    bit for bit: every exponent walks the ``smallest_k`` ladder from 16 over
+    ``power_tail``, and the exponents on one rung are the rows of one np.power
+    block, each certified as ``_certify`` certifies it.  A failure raises what
+    the first failing exponent, taken in order, raises on its own.
     """
     ps = [float(p) for p in ps]
     if any(p <= 1.0 for p in ps):
         raise ValueError("exponent must exceed 1 for convergence")
     if a <= 0.0:
         raise ValueError("shift must be positive")
+    tol, max_k = policy.tol, policy.max_k
+    target = 0.5 * tol
     rungs: dict[int, list[int]] = {}
     out: list = [None] * len(ps)
     for i, p in enumerate(ps):
-        try:
-            k = smallest_k(lambda j: power_tail(p, a, j)[1], 0.5 * policy.tol, 16,
-                           policy.max_k)
-        except TruncationError as exc:
-            out[i] = exc
+        # smallest_k's ladder, inline: z = k - 1/2 + a > 0 as k >= 1
+        k = min(16, max_k)
+        while not (bound := _power_tail(p, k - 0.5 + a)[1]) <= target:
+            if k >= max_k:
+                out[i] = _budget_error(bound, target, max_k)
+                break
+            k = min(2 * k, max_k)
         else:
             rungs.setdefault(k, []).append(i)
     for k, rows in rungs.items():
         base = np.arange(k, dtype=float)[None, :] + a
+        z = k - 0.5 + a
+        # _certify's roundoff allowance over a head of k terms and no offset
+        allowance = (math.log2(max(k, 2)) + 2.0) * _EPS
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
             block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
             for i, head_sum, abs_sum in zip(chunk, np.sum(block, axis=1).tolist(),
                                             np.sum(np.abs(block), axis=1).tolist()):
+                est, bound = _power_tail(ps[i], z)
+                total = bound + allowance * abs_sum
+                if total <= tol:
+                    out[i] = EvalResult(head_sum + est, k, total)
+                    continue
                 try:
-                    out[i] = _certify(head_sum, abs_sum, *power_tail(ps[i], a, k), k,
-                                      policy.tol, None)
+                    out[i] = _certify(head_sum, abs_sum, est, bound, k, tol, None)
                 except AccuracyError as exc:
                     out[i] = exc
     for r in out:

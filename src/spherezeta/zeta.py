@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorize import partial_sum_domination
-from .spectrum import _require_dimension, _spectral_arrays, mult_poly_coeffs, sphere_spec
+from .spectrum import (
+    _require_dimension,
+    _require_int,
+    _spectral_arrays,
+    mult_poly_coeffs,
+    sphere_spec,
+)
 from .truncation import (
     _TIGHT,
     DEFAULT_POLICY,
@@ -202,8 +208,7 @@ def compare_zeta_pair(s: float, n: int, kmax: int,
     n = 1 the two series coincide exactly.  kmax may not exceed the term
     budget policy.max_k.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    kmax = _require_int(kmax, 1, "kmax must be an integer >= 1")
     if kmax > policy.max_k:
         raise ValueError(f"kmax={kmax} exceeds the term budget max_k={policy.max_k}")
     zl = spectral_zeta(s, n, policy)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from spherezeta import kernels
+from spherezeta import kernels, spectrum
 from spherezeta.kernels import (
     KernelQuery,
     _heat_k_min,
@@ -519,6 +519,35 @@ def test_a_refusal_raises_again_at_every_angle():
         else:
             assert _outcome(heat_kernel, 1e-3, qq) == _unshared_kernel("heat", 1e-3, qq)
     assert len(msgs) == 1
+
+
+def test_kept_decay_vectors_give_the_values_of_a_cleared_store():
+    # each rung keeps decay(lambda_k) for k = 1..K: a sweep with the store
+    # warm gives the bits of calls made with it cleared, and the kept vector
+    # is a read-only array of its own, no view into the spectral arrays
+    pol = TruncationPolicy(tol=1e-9)
+    profiles = [(heat_kernel, 2e-3), (heat_kernel, 0.2), (zeta_kernel, 4.25)]
+    calls = [(fn, x, q(6, cg, pol)) for cg in (0.3, -1.0, 0.8, 1.0) for fn, x in profiles]
+    fresh = []
+    for fn, x, qq in calls:
+        kernels._zonal_rung.cache_clear()
+        fresh.append(_outcome(fn, x, qq))
+    kernels._zonal_rung.cache_clear()
+    assert [_outcome(fn, x, qq) for fn, x, qq in calls] == fresh
+    assert kernels._zonal_rung.cache_info().currsize == len(profiles)
+    for (tail, decay, n, x, policy, k_min), kind in (
+            ((kernels._heat_tail_bound, kernels._heat_decay, 6, 2e-3, pol,
+              kernels._heat_k_min(6, 2e-3)), "heat"),
+            ((kernels._zeta_tail, kernels._zeta_decay, 6, 4.25, pol, 8), "zeta")):
+        k, _, dec = kernels._zonal_rung(tail, decay, n, x, policy, k_min)
+        lam = spectrum._spectral_range(6, 1, k)[0]
+        want = np.exp(-lam * x) if kind == "heat" else np.power(lam, -x)
+        assert dec.tobytes() == want.tobytes()
+        assert not dec.flags.writeable
+        with pytest.raises(ValueError):
+            dec[0] = 1.0
+        assert not any(np.shares_memory(dec, a) for a in spectrum._last_arrays[1])
+    assert kernels._zonal_rung.cache_info().currsize == len(profiles)
 
 
 def test_rung_store_is_bounded():

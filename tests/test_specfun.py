@@ -197,6 +197,19 @@ def test_gegenbauer_table_is_kept_per_angle_and_bit_identical():
     assert len(specfun._last_table[1]) == 4  # the 1301-entry table is gone
 
 
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_diagonal_and_antipodal_tables_equal_the_recurrence(t):
+    # at t = +-1 the table r_k = t^k is built without the loop: it has the
+    # bits of the recurrence, and the kept table of another angle stays
+    gegenbauer_ratio_series(6, 0.3, 50)
+    kept = specfun._last_table
+    for n in range(2, 41):
+        want = np.array(_fresh_recurrence(n, t, 4096))
+        for kmax in (0, 1, 2, 77, 4096):
+            assert gegenbauer_ratio_series(n, t, kmax).tobytes() == want[:kmax + 1].tobytes()
+    assert specfun._last_table is kept
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([2, 3, 7, 40, 342]),
                           st.sampled_from([-1.0, -0.999, -0.3, 0.0, 0.5, 0.91, 1.0]),

@@ -7,10 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from spherezeta import spectrum
+from spherezeta import spectrum, zeta
 from spherezeta.kernels import heat_trace
-from spherezeta.specfun import gegenbauer_ratio_series
+from spherezeta.specfun import gegenbauer_ratio, gegenbauer_ratio_series, hurwitz_via_binomial
 from spherezeta.spectrum import (
+    SpectrumEntry,
     SphereSpec,
     _spectral_arrays,
     eigenvalue,
@@ -21,8 +22,28 @@ from spherezeta.spectrum import (
     spectrum_slice,
     sphere_spec,
 )
-from spherezeta.zeta import regularized_zeta, spectral_zeta
+from spherezeta.truncation import TruncationPolicy
+from spherezeta.zeta import compare_zeta_pair, regularized_zeta, spectral_zeta
 from _oracles import mult_u_poly, ref_mult
+
+
+def _loop_slice(n, kmax):
+    # spectrum_slice as one row per k, with C(k + n, n) and C(k + n - 2, n)
+    # each stepped on its own
+    rows, up, down = [], 1, 0
+    for k in range(kmax + 1):
+        if k > 0:
+            up = up * (k + n) // k
+        if k == 2:
+            down = 1
+        elif k > 2:
+            down = down * (k + n - 2) // (k - 2)
+        rows.append((k, float(k * (k + n - 1)), (2 * k + n - 1) ** 2 / 4.0, up - down))
+    return rows
+
+
+def _typed_bits(rows):
+    return [tuple((type(x), x.hex() if isinstance(x, float) else x) for x in r) for r in rows]
 
 
 @pytest.mark.parametrize("n,vol", [
@@ -137,6 +158,69 @@ def test_mult_poly_evaluates_to_integer_multiplicities():
                 acc = acc * u + c
             want = multiplicity(k, n)
             assert acc == pytest.approx(want, rel=5e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_spectrum_rows_equal_the_loop_form(n):
+    # the bulk rows have the values and the types of the loop, row by row
+    want = _typed_bits(_loop_slice(n, 2000))
+    for kmax in (0, 1, 2, 3, 61, 2000):
+        assert _typed_bits(spectrum_slice(n, kmax)) == want[:kmax + 1]
+
+
+@pytest.mark.parametrize("n,kmax", [(2**31 - 5, 0), (2**31 - 5, 4), (2**40 + 3, 6),
+                                    (3**45, 5)])
+def test_spectrum_rows_past_int64_equal_the_loop_form(n, kmax):
+    # lambda_k and (2k + n - 1)^2 leave int64 here, and are still rounded once
+    assert _typed_bits(spectrum_slice(n, kmax)) == _typed_bits(_loop_slice(n, kmax))
+
+
+def test_spectrum_entries_are_named_tuples():
+    e = spectrum_slice(3, 4)[2]
+    assert type(e) is SpectrumEntry and e._fields == ("k", "lam", "mu", "d")
+    assert e == (2, 8.0, 9.0, 9)
+    k, lam, mu, d = e
+    assert (k, lam, mu, d) == (e.k, e.lam, e.mu, e.d)
+    with pytest.raises(AttributeError):
+        e.d = 10
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: eigenvalue(2.5, 3), "degree k"), (lambda: eigenvalue(-1, 3), "degree k"),
+    (lambda: shifted_eigenvalue(1.5, 3), "degree k"),
+    (lambda: multiplicity(2.5, 3), "degree k"),
+    (lambda: multiplicity_product_form(True, 3), "degree k"),
+    (lambda: spectrum_slice(3, 2.5), "kmax"), (lambda: spectrum_slice(3, True), "kmax"),
+    (lambda: gegenbauer_ratio(2.5, 3, 0.1), "degree k"),
+    (lambda: gegenbauer_ratio_series(3, 0.1, 2.5), "kmax"),
+    (lambda: hurwitz_via_binomial(2.3, 0.3, 80.0), "m_max"),
+    (lambda: compare_zeta_pair(3.0, 2, 10.5), "kmax"),
+    (lambda: compare_zeta_pair(3.0, 2, False), "kmax"),
+    (lambda: TruncationPolicy(max_k=20.5), "max_k"),
+    (lambda: TruncationPolicy(max_k=True), "max_k"),
+])
+def test_a_nonintegral_index_is_refused_before_any_summing(monkeypatch, call, name):
+    # eigenvalue(2.5, 3) returned 11.25 and compare_zeta_pair summed both
+    # zetas before a bare TypeError; TruncationPolicy took max_k = 20.5
+    def no_sums(*args):
+        raise AssertionError("summed before the index was checked")
+
+    monkeypatch.setattr(zeta, "spectral_zeta", no_sums)
+    monkeypatch.setattr(zeta, "regularized_zeta", no_sums)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda i: eigenvalue(i, 3), lambda i: shifted_eigenvalue(i, 3),
+    lambda i: multiplicity(i, 3), lambda i: spectrum_slice(3, i),
+    lambda i: gegenbauer_ratio(i, 3, 0.1), lambda i: gegenbauer_ratio_series(3, 0.1, i).tolist(),
+    lambda i: hurwitz_via_binomial(2.3, 0.3, 8 * i),
+    lambda i: compare_zeta_pair(3.0, 2, i).zeta_laplace,
+    lambda i: (TruncationPolicy(max_k=i), type(TruncationPolicy(max_k=i).max_k)),
+])
+def test_a_numpy_integer_index_is_taken_as_an_int(call):
+    assert call(np.int64(6)) == call(6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40, 100])

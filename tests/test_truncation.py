@@ -189,12 +189,14 @@ def _one_exponent(p, a, policy):
     s=st.floats(0.55, 6.0),
     count=st.integers(1, 90),
     a=st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
-    tol=st.sampled_from([1e-6, 1e-10, 1e-13]),
-    max_k=st.sampled_from([64, 1024, 400_000]),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-13, 3e-15, 1e-15, 4e-16]),
+    max_k=st.sampled_from([1, 5, 15, 64, 1024, 400_000]),
 )
 def test_power_sums_match_single_sums_bit_for_bit(s, count, a, tol, max_k):
     # exponents 2s + m as in the binomial Hurwitz route, plus repeats; several
-    # share a rung and are summed as rows of one block
+    # share a rung and are summed as rows of one block.  Budgets below the
+    # first rung 16 and tols near the roundoff floor make both refusals, and
+    # each must carry the message of the single sum
     ps = [2.0 * s + m for m in range(count)] + [2.0 * s, 2.0 * s + 0.5]
     policy = TruncationPolicy(max_k=max_k, tol=tol)
     want = [_one_exponent(p, a, policy) for p in ps]
@@ -213,6 +215,21 @@ def test_power_sums_match_single_sums_bit_for_bit(s, count, a, tol, max_k):
             assert (type(exc), str(exc)) == w
         else:
             assert (r.value, r.terms_used, r.tail_bound) == w
+
+
+@pytest.mark.parametrize("ps,a,policy,error", [
+    ([40.0, 2.0], 1.0, TruncationPolicy(max_k=5, tol=1e-10), TruncationError),
+    ([40.0, 30.0], 0.5, TruncationPolicy(tol=4e-16), AccuracyError),
+    ([2.0, 40.0], 1.0, TruncationPolicy(max_k=64, tol=1e-15), TruncationError),
+    ([40.0, 1.1], 1.0, TruncationPolicy(max_k=64, tol=1e-15), AccuracyError),
+])
+def test_power_sums_raise_what_the_first_failing_exponent_raises(ps, a, policy, error):
+    want = [_one_exponent(p, a, policy) for p in ps]
+    first = next(w for w in want if isinstance(w[0], type))
+    assert first[0] is error
+    with pytest.raises(error) as info:
+        shifted_power_sums(ps, a, policy)
+    assert str(info.value) == first[1]
 
 
 def test_power_sums_split_a_rung_into_bounded_blocks(monkeypatch):
