@@ -199,8 +199,8 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
     for k, rows in rungs.items():
         base = np.arange(k, dtype=float)[None, :] + a
         z = k - 0.5 + a
-        # _certify's roundoff allowance over a head of k terms and no offset
-        allowance = (math.log2(max(k, 2)) + 2.0) * _EPS
+        # _certify's roundoff allowance per unit of sum|terms|, for no offset
+        allowance = _roundoff_allowance(1.0, k)
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
