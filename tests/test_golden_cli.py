@@ -18,13 +18,17 @@ import pytest
 from spherezeta import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.txt")
+# file: paths in COMMANDS are relative to the repository root
+ROOT = GOLDEN.parents[1]
 
 # the README examples, with a cycle graph in place of the file graph, then
 # the remaining kato checks, majorize --weak and the other kernel/zeta forms,
 # then the series paths that share work: the spectrum multiplicities, the
 # closed form's Riemann values, two kernels at one angle and a long
 # Gegenbauer table, then kernels on the diagonal and at the antipode and a
-# spectrum whose multiplicities outgrow 2^53
+# spectrum whose multiplicities outgrow 2^53, then every kato check on one
+# graph file (random_graph_laplacian(12, 0.3, 12)), run one after another in
+# one process and with the checks that read L's eigenvectors first
 COMMANDS = [
     "spectrum --n 3 --kmax 10",
     "zeta --n 2 --s 2.0 --form closed",
@@ -55,12 +59,18 @@ COMMANDS = [
     "kernel --kind heat --n 6 --t 0.01 --cos-gamma 1",
     "kernel --kind zeta --n 4 --s 4.0 --cos-gamma=-1",
     "spectrum --n 20 --kmax 60",
+    "kato positivity --graph file:tests/graph12.mat --trials 10 --seed 2 --t 0.5",
+    "kato duhamel --graph file:tests/graph12.mat --steps 256",
+    "kato trace --graph file:tests/graph12.mat --trials 5 --seed 1",
+    "kato commute --graph file:tests/graph12.mat",
+    "kato pointwise --graph file:tests/graph12.mat --trials 50 --seed 7",
+    "kato pairing --graph file:tests/graph12.mat --trials 20 --seed 3",
 ]
 
 
 def _stdout(command: str) -> tuple[int, str]:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(buf):
         code = cli.main(shlex.split(command))
     return code, buf.getvalue()
 
