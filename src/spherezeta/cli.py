@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import locale
 import math
 import sys
 from decimal import Decimal
@@ -123,10 +124,11 @@ def _load_config(path: str) -> dict:
 
 
 # kato budgets, each refused before the work it bounds is allocated: the
-# dense m x m graph, one O(m^3) eigvalsh of L + V per trace trial, and the
-# two m x (steps + 1) Simpson node tables of the Duhamel check
+# dense m x m graph, one O(m^2) product per state of the pointwise, pairing
+# and positivity checks, one O(m^3) eigvalsh of L + V per trace trial, and
+# the two m x (steps + 1) Simpson node tables of the Duhamel check
 _KATO_MAX_DIM = 2048
-_KATO_MAX_TRACE_WORK = 1 << 34
+_KATO_MAX_WORK = 1 << 34
 _KATO_MAX_DUHAMEL_ENTRIES = 1 << 20
 
 
@@ -147,12 +149,27 @@ def _parse_graph(text: str) -> kato.SymmetricOperator:
     raise UsageError(f"unknown graph spec {text!r}; use cycle:m, complete:m or file:PATH")
 
 
+# (bytes, operator) of the last file graph that read, parsed and validated.
+# A file whose bytes equal these in full gets the kept operator back, and
+# with it the eigendecomposition and spectrum its earlier checks cached; any
+# other file is parsed afresh, and one that fails is never kept.  It holds
+# one operator of at most _KATO_MAX_DIM^2 entries, its eigenvectors (as many
+# again) and the file's bytes.  The tuple is replaced whole, never mutated.
+_last_file: tuple[bytes, kato.SymmetricOperator] | None = None
+
+
 def _load_matrix(path: str) -> kato.SymmetricOperator:
+    global _last_file
     try:
-        with open(path) as fh:
-            tokens = fh.read().split()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read matrix file: {exc}") from exc
+    kept = _last_file
+    if kept is not None and kept[0] == data:
+        return kept[1]
+    # decoded as open() in text mode would
+    tokens = data.decode(locale.getpreferredencoding(False)).split()
     if not tokens:
         raise ValueError("matrix file is empty")
     dim = _check_dim(int(tokens[0]))
@@ -161,7 +178,9 @@ def _load_matrix(path: str) -> kato.SymmetricOperator:
         raise ValueError(
             f"matrix file promises {dim}x{dim} entries, found {len(vals)}"
         )
-    return kato.symmetric_operator(np.array(vals).reshape(dim, dim))
+    op = kato.symmetric_operator(np.array(vals).reshape(dim, dim))
+    _last_file = (data, op)
+    return op
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -387,7 +406,10 @@ def _cmd_kato(args):
         raise UsageError("--trials must be at least 1")
     op = _parse_graph(args.graph)
     m = op.dim
-    if args.check == "trace" and args.trials * m**3 > _KATO_MAX_TRACE_WORK:
+    if args.check in ("pointwise", "pairing", "positivity") and args.trials * m**2 > _KATO_MAX_WORK:
+        raise UsageError(f"--trials {args.trials} x m^2 at m = {m} exceeds the "
+                         "state budget of 2^34")
+    if args.check == "trace" and args.trials * m**3 > _KATO_MAX_WORK:
         raise UsageError(f"--trials {args.trials} x m^3 at m = {m} exceeds the "
                          "trace budget of 2^34")
     if args.check == "duhamel" and (args.steps + 1) * m > _KATO_MAX_DUHAMEL_ENTRIES:

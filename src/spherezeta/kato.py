@@ -26,7 +26,9 @@ X side of the Duhamel integral read it.  Named graphs have it in closed
 form: real Fourier modes with eigenvalues 4 sin^2(pi k/m) for the cycle,
 the constant vector and a Helmert basis with eigenvalue m for K_m (Chung,
 Spectral Graph Theory, 1997, sec. 1.2); other operators call LAPACK.
-The trace check needs only eigenvalues (``SymmetricOperator.spectrum``).
+The trace check needs only eigenvalues (``SymmetricOperator.spectrum``),
+which are eigvalsh's for a LAPACK operator whether or not eigh was read, so
+an operator kept across calls gives the same verdicts in any call order.
 Semigroups are re-symmetrized exactly.
 
 The pointwise, pairing and positivity checks take either one state of
@@ -52,6 +54,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .spectrum import _require_int
+
 
 @dataclass(frozen=True)
 class SymmetricOperator:
@@ -71,8 +75,10 @@ class SymmetricOperator:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues: eigh's if known or closed-form, else eigvalsh."""
-        if self.closed_eigh or "eigh" in self.__dict__:
+        """Ascending eigenvalues, computed once: closed-form for a named
+        graph, else eigvalsh's, never eigh's (they differ in the last bits),
+        so the values do not depend on whether eigh was read first."""
+        if self.closed_eigh:
             return self.eigh[0]
         w = np.linalg.eigvalsh(self.entries)
         w.setflags(write=False)
@@ -386,7 +392,8 @@ def duhamel_residual(x_op: SymmetricOperator, y_pot: Potential, t: float,
     if y_pot.dim != x_op.dim:
         raise ValueError("potential length does not match operator dimension")
     _require_nonneg(t, "time")
-    if steps < 2 or steps % 2:
+    steps = _require_int(steps, 2, "steps must be a positive even integer")
+    if steps % 2:
         raise ValueError("steps must be a positive even integer")
     wx, ux = x_op.eigh
     wh, uh = np.linalg.eigh(x_op.entries + np.diag(y_pot.diagonal))

@@ -578,6 +578,110 @@ def test_kato_file_header_is_held_to_the_dimension_budget(capsys, tmp_path):
             in failure(capsys, ["kato", "pointwise", "--graph", f"file:{big}"]))
 
 
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("graph, m", [("cycle:2048", 2048), ("complete:8", 8)])
+@pytest.mark.parametrize("check", ["pointwise", "pairing", "positivity"])
+def test_state_checks_hold_trials_to_the_budget(capsys, monkeypatch, check, graph, m):
+    def draw(seed):
+        raise _Drawn
+
+    monkeypatch.setattr(cli.np.random, "default_rng", draw)
+    limit = (1 << 34) // m**2
+    with pytest.raises(_Drawn):  # at the limit the states are drawn
+        cli.main(["kato", check, "--graph", graph, "--trials", str(limit)])
+    # one past it the call is refused before any state is drawn
+    err = failure(capsys, ["kato", check, "--graph", graph, "--trials", str(limit + 1)])
+    assert f"--trials {limit + 1} x m^2 at m = {m} exceeds the state budget of 2^34" in err
+
+
+KATO_FILE_FLAGS = {
+    "pointwise": ["--trials", "7", "--seed", "1"],
+    "pairing": ["--trials", "7", "--seed", "2"],
+    "positivity": ["--trials", "7", "--seed", "3", "--t", "0.5"],
+    "trace": ["--trials", "3", "--seed", "4"],
+    "duhamel": ["--steps", "256", "--seed", "5"],
+    "commute": ["--t", "2.0"],
+}
+
+
+def _write_graph(path, op, fmt="{!r}"):
+    rows = (" ".join(fmt.format(float(v)) for v in row) for row in op.entries)
+    path.write_text(f"{op.dim}\n" + "\n".join(rows) + "\n")
+
+
+def _kato_on(capsys, path, check):
+    return run(capsys, ["kato", check, "--graph", f"file:{path}", *KATO_FILE_FLAGS[check]])
+
+
+def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, monkeypatch, tmp_path):
+    from spherezeta import kato
+
+    path = tmp_path / "g.mat"
+    _write_graph(path, kato.random_graph_laplacian(24, 0.2, 3))
+    fresh = {}
+    for check in KATO_FILE_FLAGS:
+        monkeypatch.setattr(cli, "_last_file", None)
+        fresh[check] = _kato_on(capsys, path, check)
+    for check in KATO_FILE_FLAGS:
+        for before in KATO_FILE_FLAGS.keys() - {check}:
+            monkeypatch.setattr(cli, "_last_file", None)
+            _kato_on(capsys, path, before)
+            assert _kato_on(capsys, path, check) == fresh[check], (before, check)
+    for order in (list(KATO_FILE_FLAGS), list(KATO_FILE_FLAGS)[::-1]):
+        monkeypatch.setattr(cli, "_last_file", None)
+        assert [_kato_on(capsys, path, check) for check in order] == [fresh[c] for c in order]
+    # the whole order ran on one operator, decomposed by its first eigh reader
+    op = cli._last_file[1]
+    assert cli._parse_graph(f"file:{path}") is op and "eigh" in vars(op)
+
+
+def test_rewritten_graph_file_is_parsed_again(capsys, monkeypatch, tmp_path):
+    from spherezeta import kato
+
+    path = tmp_path / "g.mat"
+    monkeypatch.setattr(cli, "_last_file", None)
+    outs = []
+    for seed in (3, 4):
+        # fixed-width entries, so the rewrite keeps the size; the mtime is set back
+        _write_graph(path, kato.random_graph_laplacian(24, 0.2, seed), "{:5.1f}")
+        if not outs:
+            first = path.stat()
+        os.utime(path, ns=(first.st_atime_ns, first.st_mtime_ns))
+        assert path.stat().st_size == first.st_size
+        outs.append({check: _kato_on(capsys, path, check) for check in KATO_FILE_FLAGS})
+    monkeypatch.setattr(cli, "_last_file", None)
+    assert {check: _kato_on(capsys, path, check) for check in KATO_FILE_FLAGS} == outs[1]
+    assert all(outs[0][check] != outs[1][check] for check in KATO_FILE_FLAGS)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "matrix file is empty"),
+    ("3\n2 -1 -1\n-1 2 -1\n", "promises 3x3 entries, found 6"),
+    ("2\n0 1\n2 0\n", "not exactly symmetric"),
+    ("2\n0 x\nx 0\n", "could not convert"),
+    ("2.5\n", "invalid literal"),
+    ("100000\n1.0\n", "exceeds the budget of 2048"),
+    ("0\n", "at least 1x1"),
+    ("2\nnan 0\n0 0\n", "must be finite"),
+    (None, "cannot read matrix file"),
+])
+def test_failing_graph_file_is_never_kept(capsys, monkeypatch, tmp_path, text, message):
+    good = tmp_path / "good.mat"
+    good.write_text("3\n2 -1 -1\n-1 2 -1\n-1 -1 2\n")
+    monkeypatch.setattr(cli, "_last_file", None)
+    assert run(capsys, ["kato", "commute", "--graph", f"file:{good}"])[0] == 0
+    kept = cli._last_file
+    bad = tmp_path / "bad.mat"
+    if text is not None:
+        bad.write_text(text)
+    errs = [failure(capsys, ["kato", "commute", "--graph", f"file:{bad}"]) for _ in range(3)]
+    assert message in errs[0] and errs[0] == errs[1] == errs[2]
+    assert cli._last_file is kept
+
+
 def test_kernel_refuses_an_overflowing_sphere_volume(capsys):
     argv = ["kernel", "--n", "343", "--kind", "heat", "--t", "0.5", "--cos-gamma", "0.5"]
     assert "sphere dimension n = 343 exceeds 342" in failure(capsys, argv)

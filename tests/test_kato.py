@@ -1,6 +1,8 @@
 """Matrix models: sign vectors, pointwise and pairing inequalities,
 semigroup positivity, trace domination, and the Duhamel defect."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,25 @@ def test_duhamel_residual_validation():
         duhamel_residual(op, v, t=-1.0, steps=8)
     with pytest.raises(ValueError):
         duhamel_residual(op, potential(np.ones(5)), t=1.0, steps=8)
+
+
+@pytest.mark.parametrize("steps", [4.0, np.float64(4.0), 4.5, True, 0, -2, 7, np.int64(7)])
+def test_duhamel_steps_refused_before_any_decomposition(monkeypatch, steps):
+    # a float steps such as 4.0 once passed the parity test, then failed in
+    # np.linspace with a bare TypeError after both eigendecompositions
+    def fail(*args, **kwargs):
+        raise AssertionError("decomposed before steps was checked")
+
+    monkeypatch.setattr(kato.np.linalg, "eigh", fail)
+    op = random_graph_laplacian(8, 0.4, seed=41)
+    with pytest.raises(ValueError, match="steps must be a positive even integer"):
+        duhamel_residual(op, potential(np.ones(8)), 0.5, steps)
+
+
+def test_duhamel_takes_a_numpy_integer_steps():
+    op = random_graph_laplacian(8, 0.4, seed=41)
+    v = potential(np.ones(8))
+    assert duhamel_residual(op, v, 0.5, np.int64(4)) == duhamel_residual(op, v, 0.5, 4)
 
 
 def test_commute_residual():
@@ -498,10 +519,39 @@ def test_duhamel_and_trace_decomposition_counts(eig_calls):
         assert np.array_equal(eig_calls[-2][1], fresh.entries)
         # the free spectrum is the operator's cached one for every potential
         assert trace_domination_check(op, potential(np.full(12, t)), t).ok
-    assert [name for name, _ in eig_calls] == ["eigvalsh", "eigvalsh", "eigvalsh"] * 3
+    # op's spectrum is eigvalsh of L, taken once on its first trace check: the
+    # eigh its Duhamel residual read is not reused for it
+    assert [name for name, _ in eig_calls] == ["eigvalsh"] * 10
+    assert np.array_equal(eig_calls[2][1], op.entries)
     del eig_calls[:]
     assert trace_domination_check(cycle_laplacian(12), v, 1.0).ok
     assert [name for name, _ in eig_calls] == ["eigvalsh"]  # L + V only
+
+
+def test_kept_file_graph_decomposes_once_across_checks(eig_calls, capsys, monkeypatch):
+    from spherezeta import cli
+
+    path = Path(__file__).with_name("graph12.mat")
+    entries = random_graph_laplacian(12, 0.3, seed=12).entries
+    monkeypatch.setattr(cli, "_last_file", None)
+    for check, *flags in (["positivity", "--trials", "5"], ["duhamel", "--steps", "256"],
+                          ["commute"]):
+        assert cli.main(["kato", check, "--graph", f"file:{path}", *flags]) == 0
+    capsys.readouterr()
+    # each call reads the file, but L is parsed and decomposed once
+    assert [name for name, mat in eig_calls if np.array_equal(mat, entries)] == ["eigh"]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_lapack_spectrum_is_eigvalsh_whatever_was_read_first(seed):
+    # eigh's eigenvalues differ from eigvalsh's in the last bits; a kept
+    # operator's trace check must not depend on which was read first
+    ref = np.linalg.eigvalsh(random_graph_laplacian(256, 0.05, seed).entries)
+    spectrum_first = random_graph_laplacian(256, 0.05, seed)
+    eigh_first = random_graph_laplacian(256, 0.05, seed)
+    eigh_first.eigh
+    for op in (spectrum_first, eigh_first):
+        assert np.array_equal(op.spectrum, ref)
 
 
 @pytest.mark.parametrize("builder, m",
