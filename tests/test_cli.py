@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spherezeta
-from spherezeta import cli
+from spherezeta import cli, kato
 from spherezeta.kernels import circle_heat_oracle
 from spherezeta.spectrum import multiplicity
 from spherezeta.truncation import TruncationPolicy
@@ -617,8 +617,6 @@ def _kato_on(capsys, path, check):
 
 
 def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, monkeypatch, tmp_path):
-    from spherezeta import kato
-
     path = tmp_path / "g.mat"
     _write_graph(path, kato.random_graph_laplacian(24, 0.2, 3))
     fresh = {}
@@ -639,8 +637,6 @@ def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, monkeypatch,
 
 
 def test_rewritten_graph_file_is_parsed_again(capsys, monkeypatch, tmp_path):
-    from spherezeta import kato
-
     path = tmp_path / "g.mat"
     monkeypatch.setattr(cli, "_last_file", None)
     outs = []
