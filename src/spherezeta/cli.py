@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import locale
@@ -154,25 +155,23 @@ def _parse_graph(text: str) -> kato.SymmetricOperator:
     raise UsageError(f"unknown graph spec {text!r}; use cycle:m, complete:m or file:PATH")
 
 
-# (bytes, operator) of the last file graph that read, parsed and validated.
-# A file whose bytes equal these in full gets the kept operator back, and
-# with it the eigendecomposition and spectrum its earlier checks cached; any
-# other file is parsed afresh, and one that fails is never kept.  It holds
-# one operator of at most _KATO_MAX_DIM^2 entries, its eigenvectors (as many
-# again) and the file's bytes.  The tuple is replaced whole, never mutated.
-_last_file: tuple[bytes, kato.SymmetricOperator] | None = None
-
-
 def _load_matrix(path: str) -> kato.SymmetricOperator:
-    global _last_file
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read matrix file: {exc}") from exc
-    kept = _last_file
-    if kept is not None and kept[0] == data:
-        return kept[1]
+    return _parse_matrix(data)
+
+
+# Keeps the operator of the last file graph that parsed and validated, keyed
+# by the file's full bytes, and with it the eigendecomposition and spectrum
+# its earlier checks cached; any other file is parsed afresh, and a parse
+# that raises is never kept and leaves the kept one in place.  It holds one
+# operator of at most _KATO_MAX_DIM^2 entries, its eigenvectors (as many
+# again) and the file's bytes.
+@functools.lru_cache(maxsize=1)
+def _parse_matrix(data: bytes) -> kato.SymmetricOperator:
     # decoded as open() in text mode would
     tokens = data.decode(locale.getpreferredencoding(False)).split()
     if not tokens:
@@ -183,9 +182,7 @@ def _load_matrix(path: str) -> kato.SymmetricOperator:
         raise ValueError(
             f"matrix file promises {dim}x{dim} entries, found {len(vals)}"
         )
-    op = kato.symmetric_operator(np.array(vals).reshape(dim, dim))
-    _last_file = (data, op)
-    return op
+    return kato.symmetric_operator(np.array(vals).reshape(dim, dim))
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -515,7 +512,10 @@ def main(argv=None) -> int:
             setattr(args, name, getattr(args, name, cfg.get(name)))
         if args.tol is not None and not 0.0 <= args.tol < math.inf:
             raise UsageError(f"tol must be finite and nonnegative, got {args.tol!r}")
-        records, ok = _COMMANDS[args.command](args)
+        # an overflow or NaN on the way to a refusal is reported by the
+        # refusal alone, not also by a numpy warning on stderr
+        with np.errstate(all="ignore"):
+            records, ok = _COMMANDS[args.command](args)
         buf = io.StringIO()
         _emit(records, args.format or "json", buf)
     except UsageError as exc:

@@ -9,16 +9,17 @@ cos(gamma) = <x, y>, and are expanded in normalized Gegenbauer ratios r_k,
 with V_n the sphere volume, so that V_n * K_t on the diagonal reproduces
 the heat trace exactly.  Both sum d_k r_k / V_n, with the k = 0 heat term
 1/V_n as the offset.  Tail certificates rest on |r_k| <= 1, so the K rung
-(``truncation.certified_rung``), its truncation bound and the decay vector
-e^{-lambda_k t} or lambda_k^(-s), k = 1..K, depend on the kind, n, t or s
-and the policy, never on the angle: ``_zonal_rung`` keeps them for the last
-few such profiles, and each angle sums its own head to that K and is
-certified by ``truncation._certify``, the step every certified sum shares.
-A refusal is never kept, so it raises again at every angle.  Of the tails,
-the heat family bounds the multiplicity by d_k(n) <= 2 (k+1)^(n-1) and
-closes with an incomplete-Gaussian integral; the zeta family uses the
-spectral zeta tail of ``zeta``, built on the exact multiplicity polynomial
-with midpoint-corrected monomial tails.
+(``truncation.smallest_k`` at tol/2), its truncation bound and the decay
+vector e^{-lambda_k t} or lambda_k^(-s), k = 1..K, depend on the kind, n, t
+or s and the policy, never on the angle: ``_zonal_rung`` keeps them for the
+last few such profiles, and each angle sums its own head to that K and is
+certified by ``truncation._certify``.  These two steps, the one ladder and
+the one acceptance test, are the core every certified sum shares.  A refusal
+is never kept, so it raises again at every angle.  Of the tails, the heat
+family bounds the multiplicity by d_k(n) <= 2 (k+1)^(n-1) and closes with an
+incomplete-Gaussian integral; the zeta family uses the spectral zeta tail of
+``zeta``, built on the exact multiplicity polynomial with midpoint-corrected
+monomial tails.
 
 ``mellin_zeta_kernel`` reproduces the zeta kernel from the heat kernel via
 
@@ -54,7 +55,6 @@ from .truncation import (
     TruncationPolicy,
     _certify,
     _roundoff_allowance,
-    certified_rung,
     certified_sum,
     smallest_k,
 )
@@ -145,7 +145,8 @@ def _zonal_rung(tail, decay, n: int, x: float, policy: TruncationPolicy,
     array, no view into the spectral arrays.  A refusal raises and is not
     kept, so it raises again at every angle."""
     vol = sphere_spec(n).volume
-    k, _, bound = certified_rung(lambda j: (0.0, tail(n, x, j) / vol), policy, k_min)
+    k, _, bound = smallest_k(lambda j: (0.0, tail(n, x, j) / vol), 0.5 * policy.tol,
+                             k_min, policy.max_k)
     dec = decay(_spectral_arrays(n, k)[0], x)
     dec.setflags(write=False)
     return k, bound, dec
@@ -318,18 +319,18 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     # most tol/4; capping the exponent below overflow only lowers it
     node_tol = target * s * math.exp(min(lg_s - s * math.log(t_cut), 700.0))
 
-    k_cap = smallest_k(lambda k: _heat_tail_bound(n, t_min, k) / vol, node_tol,
-                       _heat_k_min(n, t_min), q.policy.max_k)
+    k_cap = smallest_k(lambda k: (0.0, _heat_tail_bound(n, t_min, k) / vol), node_tol,
+                       _heat_k_min(n, t_min), q.policy.max_k)[0]
     lam, _, d = _spectral_arrays(n, k_cap)
     w = d * gegenbauer_ratio_series(n, q.cos_gamma, k_cap)[1:]
 
     def series_node(t: float) -> tuple[float, float]:
         # the heat tail bound falls with t, so t >= t_min meets node_tol by k_cap
-        k = smallest_k(lambda j: _heat_tail_bound(n, t, j) / vol, node_tol,
-                       min(_heat_k_min(n, t), k_cap), k_cap)
+        k, _, bound = smallest_k(lambda j: (0.0, _heat_tail_bound(n, t, j) / vol), node_tol,
+                                 min(_heat_k_min(n, t), k_cap), k_cap)
         e = np.exp(-lam[:k] * t)
-        return (float(np.dot(w[:k], e)) / vol, _heat_tail_bound(n, t, k) / vol
-                + _roundoff_allowance(float(np.dot(np.abs(w[:k]), e)) / vol, k))
+        return (float(np.dot(w[:k], e)) / vol,
+                bound + _roundoff_allowance(float(np.dot(np.abs(w[:k]), e)) / vol, k))
 
     # jac carries the weights of t^(s-1) dt = e^(s u) du, divided by Gamma(s)
     u, w_u = _gl_nodes(u_lo, u_hi, panels)

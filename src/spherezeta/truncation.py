@@ -7,17 +7,17 @@ floating-point accumulation).  Callers state their accuracy demands through
 a ``TruncationPolicy``; if the demand cannot be certified within the term
 budget the evaluator raises instead of silently returning a bad number.
 
-All certified sums go through one core.  ``smallest_k`` walks the single
-K ladder k_min, 2 k_min, 4 k_min, ... up to max_k until a tail bound meets
-its target; ``certified_rung`` takes the first K with truncation bound
-<= tol/2, and ``certified_sum`` sums to that K, adds the roundoff allowance,
-and raises ``AccuracyError`` when that total exceeds tol (``_certify``).  The
-two halves are separate so that a caller whose tail does not depend on the
-terms, such as a kernel swept over angles, can pick the rung once and
-certify each sum on its own.  ``shifted_power_sums`` certifies several
-exponents over one shift at once: each exponent takes its own rung, and the
-exponents that share a rung are summed as the rows of one power block, each
-row certified as ``certified_sum`` certifies a single sum.
+All certified sums go through one core of two steps.  ``smallest_k`` walks
+the single K ladder k_min, 2 k_min, 4 k_min, ... up to max_k, evaluating the
+tail once per rung, until its bound meets a target, and returns that K with
+the tail's (estimate, bound).  ``_certify`` adds the roundoff allowance over
+the K head terms to the truncation bound and raises ``AccuracyError`` when
+that total exceeds tol.  ``certified_sum`` is the two in a row at target
+tol/2.  A caller whose tail does not depend on the terms, such as a kernel
+swept over angles, takes the rung once and certifies each sum on its own;
+``shifted_power_sums`` takes one rung per exponent and sums the exponents
+that share a rung as the rows of one power block, each row certified by
+``_certify``.
 
 The workhorse tail is the midpoint-rule estimate for sums of decreasing
 convex terms f(k) = (k + a)^(-p):
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,11 +99,6 @@ def power_tail(p: float, a: float, k_from: int) -> tuple[float, float]:
     z = k_from - 0.5 + a
     if z <= 0.0:
         raise ValueError("tail start must satisfy k_from + a > 1/2")
-    return _power_tail(p, z)
-
-
-def _power_tail(p: float, z: float) -> tuple[float, float]:
-    # the unchecked formula of power_tail at z = k_from - 1/2 + a
     est = z ** (1.0 - p) / (p - 1.0)
     bound = (p * (p + 1.0) * z ** (-p - 2.0) + p * z ** (-p - 1.0)) / 24.0
     return est, bound
@@ -113,20 +109,20 @@ def _roundoff_allowance(abs_sum: float, nterms: int) -> float:
     return (math.log2(max(nterms, 2)) + 2.0) * _EPS * abs_sum
 
 
-def smallest_k(bound, target: float, k_min: int, max_k: int) -> int:
+def smallest_k(tail, target: float, k_min: int, max_k: int) -> tuple[int, float, float]:
     """First K on the ladder k_min, 2 k_min, 4 k_min, ... (capped at max_k)
-    with bound(K) <= target; raises TruncationError if max_k misses it."""
+    whose tail(K) = (estimate, bound) has bound <= target, as (K, estimate,
+    bound); tail is evaluated once per rung.  Raises TruncationError if max_k
+    misses the target."""
     k = min(k_min, max_k)
-    while not bound(k) <= target:
+    while True:
+        est, bound = tail(k)
+        if bound <= target:
+            return k, est, bound
         if k >= max_k:
-            raise _budget_error(bound(k), target, max_k)
+            raise TruncationError(f"tail bound {bound:.3e} still exceeds {target:.3e} "
+                                  f"at the term budget max_k={max_k}")
         k = min(2 * k, max_k)
-    return k
-
-
-def _budget_error(bound: float, target: float, max_k: int) -> TruncationError:
-    return TruncationError(f"tail bound {bound:.3e} still exceeds {target:.3e} "
-                           f"at the term budget max_k={max_k}")
 
 
 def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
@@ -144,25 +140,18 @@ def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
                       terms_used=k + (offset is not None), tail_bound=total)
 
 
-def certified_rung(tail, policy: TruncationPolicy, k_min: int) -> tuple[int, float, float]:
-    """The K of ``certified_sum`` and its tail: the first rung of ``smallest_k``
-    whose bound tail(K)[1] is within tol/2, as (K, estimate, bound)."""
-    k = smallest_k(lambda j: tail(j)[1], 0.5 * policy.tol, k_min, policy.max_k)
-    return (k, *tail(k))
-
-
 def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
                   offset: float | None = None) -> EvalResult:
     """Certified value of offset + sum(terms(K)) + the tail estimate.
 
     terms(K) returns the first K terms and tail(K) an (estimate, bound)
-    pair for everything after them; K is ``certified_rung``'s.  offset is
-    an exactly known leading term (counted in terms_used).  The returned
-    bound is the truncation bound plus the roundoff allowance over
-    sum|terms| + |offset|; if that total exceeds tol, AccuracyError is
-    raised.
+    pair for everything after them; K is the first rung of ``smallest_k``
+    whose bound is within tol/2.  offset is an exactly known leading term
+    (counted in terms_used).  The returned bound is the truncation bound plus
+    the roundoff allowance over sum|terms| + |offset|; if that total exceeds
+    tol, AccuracyError is raised.
     """
-    k, est, bound = certified_rung(tail, policy, k_min)
+    k, est, bound = smallest_k(tail, 0.5 * policy.tol, k_min, policy.max_k)
     head = terms(k)
     return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
                     policy.tol, offset)
@@ -172,48 +161,37 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
     """Certified sum_{k >= 0} (k + a)^(-p) for every p in ps (each p > 1), a > 0.
 
     Each result equals what ``certified_sum`` gives for that exponent alone,
-    bit for bit: every exponent walks the ``smallest_k`` ladder from 16 over
+    bit for bit: every exponent takes its ``smallest_k`` rung from 16 over
     ``power_tail``, and the exponents on one rung are the rows of one np.power
-    block, each certified as ``_certify`` certifies it.  A failure raises what
-    the first failing exponent, taken in order, raises on its own.
+    block, each certified by ``_certify``.  A failure raises what the first
+    failing exponent, taken in order, raises on its own.
     """
     ps = [float(p) for p in ps]
     if any(p <= 1.0 for p in ps):
         raise ValueError("exponent must exceed 1 for convergence")
     if a <= 0.0:
         raise ValueError("shift must be positive")
-    tol, max_k = policy.tol, policy.max_k
-    target = 0.5 * tol
     rungs: dict[int, list[int]] = {}
+    # per exponent: its (estimate, bound), then its result or refusal
     out: list = [None] * len(ps)
     for i, p in enumerate(ps):
-        # smallest_k's ladder, inline: z = k - 1/2 + a > 0 as k >= 1
-        k = min(16, max_k)
-        while not (bound := _power_tail(p, k - 0.5 + a)[1]) <= target:
-            if k >= max_k:
-                out[i] = _budget_error(bound, target, max_k)
-                break
-            k = min(2 * k, max_k)
+        try:
+            k, *out[i] = smallest_k(partial(power_tail, p, a), 0.5 * policy.tol, 16,
+                                    policy.max_k)
+        except TruncationError as exc:
+            out[i] = exc
         else:
             rungs.setdefault(k, []).append(i)
     for k, rows in rungs.items():
         base = np.arange(k, dtype=float)[None, :] + a
-        z = k - 0.5 + a
-        # _certify's roundoff allowance per unit of sum|terms|, for no offset
-        allowance = _roundoff_allowance(1.0, k)
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
             block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
             for i, head_sum, abs_sum in zip(chunk, np.sum(block, axis=1).tolist(),
                                             np.sum(np.abs(block), axis=1).tolist()):
-                est, bound = _power_tail(ps[i], z)
-                total = bound + allowance * abs_sum
-                if total <= tol:
-                    out[i] = EvalResult(head_sum + est, k, total)
-                    continue
                 try:
-                    out[i] = _certify(head_sum, abs_sum, est, bound, k, tol, None)
+                    out[i] = _certify(head_sum, abs_sum, *out[i], k, policy.tol, None)
                 except AccuracyError as exc:
                     out[i] = exc
     for r in out:

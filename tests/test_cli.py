@@ -322,16 +322,18 @@ def test_domain_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_console_script_installed():
+def fresh_process(argv):
+    """``python -m spherezeta.cli argv`` in a new interpreter."""
     # the package may be importable only through the test path, not installed
     src = str(Path(spherezeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "spherezeta.cli", "spectrum", "--n", "1",
-         "--kmax", "2"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "spherezeta.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_script_installed():
+    proc = fresh_process(["spectrum", "--n", "1", "--kmax", "2"])
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 3
 
@@ -616,29 +618,31 @@ def _kato_on(capsys, path, check):
     return run(capsys, ["kato", check, "--graph", f"file:{path}", *KATO_FILE_FLAGS[check]])
 
 
-def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, monkeypatch, tmp_path):
+def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, tmp_path):
     path = tmp_path / "g.mat"
     _write_graph(path, kato.random_graph_laplacian(24, 0.2, 3))
     fresh = {}
     for check in KATO_FILE_FLAGS:
-        monkeypatch.setattr(cli, "_last_file", None)
+        cli._parse_matrix.cache_clear()
         fresh[check] = _kato_on(capsys, path, check)
     for check in KATO_FILE_FLAGS:
         for before in KATO_FILE_FLAGS.keys() - {check}:
-            monkeypatch.setattr(cli, "_last_file", None)
+            cli._parse_matrix.cache_clear()
             _kato_on(capsys, path, before)
             assert _kato_on(capsys, path, check) == fresh[check], (before, check)
     for order in (list(KATO_FILE_FLAGS), list(KATO_FILE_FLAGS)[::-1]):
-        monkeypatch.setattr(cli, "_last_file", None)
+        cli._parse_matrix.cache_clear()
         assert [_kato_on(capsys, path, check) for check in order] == [fresh[c] for c in order]
-    # the whole order ran on one operator, decomposed by its first eigh reader
-    op = cli._last_file[1]
+    # the whole order ran on one operator, parsed once and decomposed by its
+    # first eigh reader
+    assert cli._parse_matrix.cache_info().misses == 1
+    op = cli._parse_matrix(path.read_bytes())
     assert cli._parse_graph(f"file:{path}") is op and "eigh" in vars(op)
 
 
-def test_rewritten_graph_file_is_parsed_again(capsys, monkeypatch, tmp_path):
+def test_rewritten_graph_file_is_parsed_again(capsys, tmp_path):
     path = tmp_path / "g.mat"
-    monkeypatch.setattr(cli, "_last_file", None)
+    cli._parse_matrix.cache_clear()
     outs = []
     for seed in (3, 4):
         # fixed-width entries, so the rewrite keeps the size; the mtime is set back
@@ -648,7 +652,7 @@ def test_rewritten_graph_file_is_parsed_again(capsys, monkeypatch, tmp_path):
         os.utime(path, ns=(first.st_atime_ns, first.st_mtime_ns))
         assert path.stat().st_size == first.st_size
         outs.append({check: _kato_on(capsys, path, check) for check in KATO_FILE_FLAGS})
-    monkeypatch.setattr(cli, "_last_file", None)
+    cli._parse_matrix.cache_clear()
     assert {check: _kato_on(capsys, path, check) for check in KATO_FILE_FLAGS} == outs[1]
     assert all(outs[0][check] != outs[1][check] for check in KATO_FILE_FLAGS)
 
@@ -664,18 +668,47 @@ def test_rewritten_graph_file_is_parsed_again(capsys, monkeypatch, tmp_path):
     ("2\nnan 0\n0 0\n", "must be finite"),
     (None, "cannot read matrix file"),
 ])
-def test_failing_graph_file_is_never_kept(capsys, monkeypatch, tmp_path, text, message):
+def test_failing_graph_file_is_never_kept(capsys, tmp_path, text, message):
     good = tmp_path / "good.mat"
     good.write_text("3\n2 -1 -1\n-1 2 -1\n-1 -1 2\n")
-    monkeypatch.setattr(cli, "_last_file", None)
+    cli._parse_matrix.cache_clear()
     assert run(capsys, ["kato", "commute", "--graph", f"file:{good}"])[0] == 0
-    kept = cli._last_file
+    kept = cli._parse_matrix(good.read_bytes())
     bad = tmp_path / "bad.mat"
     if text is not None:
         bad.write_text(text)
     errs = [failure(capsys, ["kato", "commute", "--graph", f"file:{bad}"]) for _ in range(3)]
     assert message in errs[0] and errs[0] == errs[1] == errs[2]
-    assert cli._last_file is kept
+    # the good graph is still the one kept: it is not parsed again
+    info = cli._parse_matrix.cache_info()
+    assert cli._parse_matrix(good.read_bytes()) is kept
+    assert cli._parse_matrix.cache_info() == info._replace(hits=info.hits + 1)
+
+
+def _negative_ground_graph():
+    # a graph whose computed lowest eigenvalue rounds below zero, so that
+    # e^{-tL} overflows at a huge t; which seed gives one depends on LAPACK
+    for seed in range(1, 65):
+        op = kato.random_graph_laplacian(24, 0.2, seed)
+        if op.eigh[0][0] < 0.0:
+            return op
+    pytest.skip("no random graph with a negative computed eigenvalue")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["specfun", "hurwitz", "--s", "300", "--a", "0.05"], "certified bound inf"),
+    (["heat-trace", "--n", "340", "--t", "1e-4"], "certified bound nan"),
+    (["kato", "positivity", "--t", "1e300"], "operator entries must be finite"),
+])
+def test_overflow_on_the_way_to_a_refusal_prints_only_the_refusal(tmp_path, argv, message):
+    if argv[0] == "kato":
+        path = tmp_path / "g.mat"
+        _write_graph(path, _negative_ground_graph())
+        argv = argv + ["--graph", f"file:{path}"]
+    proc = fresh_process(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
 
 
 def test_kernel_refuses_an_overflowing_sphere_volume(capsys):

@@ -190,6 +190,24 @@ def test_semigroup_properties():
         semigroup(op, -0.5)
 
 
+def test_semigroup_refuses_an_overflowing_exponential():
+    # e^{-tL} is not finite by construction: a computed eigenvalue below zero,
+    # here exact or a rounding of a graph's zero mode, overflows at a large t,
+    # and the finiteness check of symmetric_operator refuses the result
+    cases = [(symmetric_operator([[-1.0]]), 1000.0)]
+    graph = next((op for op in (random_graph_laplacian(24, 0.2, seed) for seed in range(1, 65))
+                  if op.eigh[0][0] < 0.0), None)
+    if graph is not None:  # which seed rounds below zero depends on LAPACK
+        cases.append((graph, 1e300))
+    for op, t in cases:
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(np.exp(-t * op.eigh[0])))
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                semigroup(op, t)
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                positivity_domination_check(op, t, np.ones(op.dim))
+
+
 def test_positivity_domination_on_builders():
     rng = np.random.default_rng(31)
     for op in builder_set():
@@ -528,12 +546,12 @@ def test_duhamel_and_trace_decomposition_counts(eig_calls):
     assert [name for name, _ in eig_calls] == ["eigvalsh"]  # L + V only
 
 
-def test_kept_file_graph_decomposes_once_across_checks(eig_calls, capsys, monkeypatch):
+def test_kept_file_graph_decomposes_once_across_checks(eig_calls, capsys):
     from spherezeta import cli
 
     path = Path(__file__).with_name("graph12.mat")
     entries = random_graph_laplacian(12, 0.3, seed=12).entries
-    monkeypatch.setattr(cli, "_last_file", None)
+    cli._parse_matrix.cache_clear()
     for check, *flags in (["positivity", "--trials", "5"], ["duhamel", "--steps", "256"],
                           ["commute"]):
         assert cli.main(["kato", check, "--graph", f"file:{path}", *flags]) == 0

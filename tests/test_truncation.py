@@ -110,26 +110,46 @@ def test_shifted_power_sum_domain():
 def test_smallest_k_walks_one_ladder():
     seen = []
 
-    def bound(k):
+    def tail(k):
         seen.append(k)
-        return 1.0 / k
+        return 0.0, 1.0 / k
 
-    assert smallest_k(bound, 1.0 / 40, 5, 1000) == 40
+    assert smallest_k(tail, 1.0 / 40, 5, 1000) == (40, 0.0, 1.0 / 40)
     assert seen[:4] == [5, 10, 20, 40]
     seen.clear()
     # the ladder is capped at max_k, which is tried last
-    assert smallest_k(bound, 1.0 / 90, 8, 90) == 90
+    assert smallest_k(tail, 1.0 / 90, 8, 90)[0] == 90
     assert seen == [8, 16, 32, 64, 90]
-    assert smallest_k(bound, 1.0, 50, 20) == 20
+    assert smallest_k(tail, 1.0, 50, 20)[0] == 20
     with pytest.raises(TruncationError):
-        smallest_k(bound, 1e-3, 8, 100)
+        smallest_k(tail, 1e-3, 8, 100)
 
 
 def test_smallest_k_never_accepts_nan_or_inf():
     with pytest.raises(TruncationError):
-        smallest_k(lambda k: math.nan, 1.0, 8, 64)
+        smallest_k(lambda k: (0.0, math.nan), 1.0, 8, 64)
     # an infinite bound (not yet valid) moves the ladder on
-    assert smallest_k(lambda k: math.inf if k < 30 else 0.0, 1.0, 8, 64) == 32
+    assert smallest_k(lambda k: (0.0, math.inf if k < 30 else 0.0), 1.0, 8, 64)[0] == 32
+
+
+def test_smallest_k_evaluates_each_rung_once():
+    # the accepted rung and the rung that exhausts max_k are not evaluated again
+    seen = []
+
+    def tail(k):
+        seen.append(k)
+        return 2.0, 1.0 / k
+
+    assert smallest_k(tail, 1.0 / 40, 5, 1000) == (40, 2.0, 1.0 / 40)
+    assert seen == [5, 10, 20, 40]
+    seen.clear()
+    with pytest.raises(TruncationError, match=r"tail bound 1\.000e-02 still exceeds "
+                                              r"1\.000e-03 at the term budget max_k=100"):
+        smallest_k(tail, 1e-3, 8, 100)
+    assert seen == [8, 16, 32, 64, 100]
+    seen.clear()
+    certified_sum(lambda k: np.zeros(k), tail, TruncationPolicy(max_k=64, tol=0.1), 8)
+    assert seen == [8, 16, 32]
 
 
 def test_certified_sum_checks_the_total_bound():
