@@ -136,8 +136,7 @@ def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
             f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
             f"exceeds tol {tol:.3e}"
         )
-    return EvalResult(value=lead + head_sum + est,
-                      terms_used=k + (offset is not None), tail_bound=total)
+    return EvalResult(lead + head_sum + est, k + (offset is not None), total)
 
 
 def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
@@ -171,17 +170,17 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
         raise ValueError("exponent must exceed 1 for convergence")
     if a <= 0.0:
         raise ValueError("shift must be positive")
+    tol, max_k = policy.tol, policy.max_k
     rungs: dict[int, list[int]] = {}
-    # per exponent: its (estimate, bound), then its result or refusal
+    # per exponent: its (K, estimate, bound), then its result or refusal
     out: list = [None] * len(ps)
     for i, p in enumerate(ps):
         try:
-            k, *out[i] = smallest_k(partial(power_tail, p, a), 0.5 * policy.tol, 16,
-                                    policy.max_k)
+            out[i] = smallest_k(partial(power_tail, p, a), 0.5 * tol, 16, max_k)
         except TruncationError as exc:
             out[i] = exc
         else:
-            rungs.setdefault(k, []).append(i)
+            rungs.setdefault(out[i][0], []).append(i)
     for k, rows in rungs.items():
         base = np.arange(k, dtype=float)[None, :] + a
         step = max(1, _BLOCK_ENTRIES // k)
@@ -190,8 +189,9 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
             block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
             for i, head_sum, abs_sum in zip(chunk, np.sum(block, axis=1).tolist(),
                                             np.sum(np.abs(block), axis=1).tolist()):
+                _, est, bound = out[i]
                 try:
-                    out[i] = _certify(head_sum, abs_sum, *out[i], k, policy.tol, None)
+                    out[i] = _certify(head_sum, abs_sum, est, bound, k, tol, None)
                 except AccuracyError as exc:
                     out[i] = exc
     for r in out:
