@@ -31,6 +31,14 @@ which are eigvalsh's for a LAPACK operator whether or not eigh was read, so
 an operator kept across calls gives the same verdicts in any call order.
 Semigroups are re-symmetrized exactly.
 
+A matrix from outside (``symmetric_operator``) is validated once: square,
+nonempty, real, finite and exactly symmetric.  The graph builders and
+``semigroup`` construct ``SymmetricOperator`` directly, since their output
+is symmetric by construction; a semigroup is still refused when it is not
+finite, which a computed eigenvalue below zero can cause at a large t.
+Every operator keeps its entries read-only and answers once whether it is
+a graph Laplacian (``SymmetricOperator.is_laplacian``).
+
 The pointwise, pairing and positivity checks take either one state of
 length m or an m x T block of states as columns; a block is pushed through
 L or e^{-tL} by a single real matrix product on [Re psi | Im psi | r].
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -64,6 +72,9 @@ class SymmetricOperator:
     # (w, u) of a named graph, built on the first read of eigh
     closed_eigh: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.entries.setflags(write=False)
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -83,6 +94,13 @@ class SymmetricOperator:
         w = np.linalg.eigvalsh(self.entries)
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def is_laplacian(self) -> bool:
+        """Nonpositive off-diagonal entries, the class the pointwise bound
+        needs; computed once."""
+        off = self.entries - np.diag(np.diag(self.entries))
+        return bool(np.all(off <= 0.0))
 
 
 @dataclass(frozen=True)
@@ -123,10 +141,19 @@ class TraceReport:
     tol: float
 
 
+def _real(values, what: str) -> np.ndarray:
+    """A float copy of values; complex input is refused, not cast to its real part."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} entries must be real")
+    return arr.astype(float)
+
+
 def symmetric_operator(entries) -> SymmetricOperator:
-    """Wrap a matrix after validating exact symmetry; the eigendecomposition
-    waits for its first use."""
-    mat = np.asarray(entries, dtype=float)
+    """Wrap a matrix from outside after validating it: square, nonempty,
+    real, finite and exactly symmetric.  The eigendecomposition waits for
+    its first use."""
+    mat = _real(entries, "operator")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
     if mat.size == 0:
@@ -135,33 +162,29 @@ def symmetric_operator(entries) -> SymmetricOperator:
         raise ValueError("operator entries must be finite")
     if not np.array_equal(mat, mat.T):
         raise ValueError("operator entries are not exactly symmetric")
-    out = mat.copy()
-    out.setflags(write=False)
-    return SymmetricOperator(dim=mat.shape[0], entries=out)
+    return SymmetricOperator(mat.shape[0], mat)
 
 
 def potential(diagonal) -> Potential:
-    diag = np.asarray(diagonal, dtype=float)
+    diag = _real(diagonal, "potential")
     if diag.ndim != 1 or diag.size == 0:
         raise ValueError("potential must be a nonempty vector")
     if not np.all(np.isfinite(diag)):
         raise ValueError("potential entries must be finite")
     if np.any(diag < 0.0):
         raise ValueError("potential entries must be nonnegative")
-    out = diag.copy()
-    out.setflags(write=False)
-    return Potential(dim=diag.size, diagonal=out)
+    diag.setflags(write=False)
+    return Potential(dim=diag.size, diagonal=diag)
 
 
 def cycle_laplacian(m: int) -> SymmetricOperator:
     """Laplacian of the m-cycle: 2 on the diagonal, -1 to both neighbours."""
-    if m < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+    m = _require_int(m, 3, "cycle needs at least 3 vertices")
     mat = 2.0 * np.eye(m)
     idx = np.arange(m)
     mat[idx, (idx + 1) % m] = -1.0
     mat[idx, (idx - 1) % m] = -1.0
-    return replace(symmetric_operator(mat), closed_eigh=partial(_cycle_eigh, m))
+    return SymmetricOperator(m, mat, partial(_cycle_eigh, m))
 
 
 def _cycle_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +203,9 @@ def _cycle_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def complete_laplacian(m: int) -> SymmetricOperator:
     """Laplacian of the complete graph K_m."""
-    if m < 2:
-        raise ValueError("complete graph needs at least 2 vertices")
+    m = _require_int(m, 2, "complete graph needs at least 2 vertices")
     mat = m * np.eye(m) - np.ones((m, m))
-    return replace(symmetric_operator(mat), closed_eigh=partial(_complete_eigh, m))
+    return SymmetricOperator(m, mat, partial(_complete_eigh, m))
 
 
 def _complete_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +226,7 @@ def random_graph_laplacian(m: int, p: float, seed: int) -> SymmetricOperator:
     Each pair i < j - 1 gets an edge when its uniform draw is below p; the
     draws run over the pairs row by row.
     """
-    if m < 2:
-        raise ValueError("need at least 2 vertices")
+    m = _require_int(m, 2, "need at least 2 vertices")
     if not (0.0 <= p <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -215,14 +236,12 @@ def random_graph_laplacian(m: int, p: float, seed: int) -> SymmetricOperator:
     rows, cols = np.triu_indices(m, k=2)
     hit = rng.random(rows.size) < p
     adj[rows[hit], cols[hit]] = adj[cols[hit], rows[hit]] = 1.0
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return symmetric_operator(lap)
+    return SymmetricOperator(m, np.diag(adj.sum(axis=1)) - adj)
 
 
 def is_graph_laplacian(op: SymmetricOperator) -> bool:
     """Nonpositive off-diagonal entries; the class the pointwise bound needs."""
-    off = op.entries - np.diag(np.diag(op.entries))
-    return bool(np.all(off <= 0.0))
+    return op.is_laplacian
 
 
 def sign_vector(psi) -> np.ndarray:
@@ -240,8 +259,12 @@ def _require_nonneg(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def _states(op: SymmetricOperator, psi) -> np.ndarray:
-    """One state of length dim, or a dim x T block of states as columns."""
+def _states(op: SymmetricOperator, psi, tol: float, check: str) -> np.ndarray:
+    """One state of length dim, or a dim x T block of states as columns, for
+    the ``check`` named, which needs a graph Laplacian and a valid tol."""
+    if not op.is_laplacian:
+        raise ValueError(f"{check} check requires nonpositive off-diagonals")
+    _require_nonneg(tol, "tol")
     v = np.asarray(psi, dtype=complex)
     if v.ndim not in (1, 2) or v.shape[0] != op.dim:
         raise ValueError("vector length does not match operator dimension")
@@ -286,10 +309,7 @@ def kato_pointwise_check(op: SymmetricOperator, psi,
     outside that class the inequality has no reason to hold and the check
     refuses to run rather than report a meaningless verdict.
     """
-    if not is_graph_laplacian(op):
-        raise ValueError("pointwise check requires nonpositive off-diagonals")
-    _require_nonneg(tol, "tol")
-    v = _states(op, psi)
+    v = _states(op, psi, tol, "pointwise")
     lv, l_abs = _apply(op.entries, v, np.abs(v))
     return _entrywise(np.real(sign_vector(v) * lv), l_abs, tol)
 
@@ -305,10 +325,7 @@ def generator_pairing_check(op: SymmetricOperator, psi, phi,
     phi must be entrywise nonnegative (it plays the test-function role)
     and have the shape of psi: one vector, or one column per state.
     """
-    if not is_graph_laplacian(op):
-        raise ValueError("pairing check requires nonpositive off-diagonals")
-    _require_nonneg(tol, "tol")
-    v = _states(op, psi)
+    v = _states(op, psi, tol, "pairing")
     f = np.asarray(phi, dtype=float)
     if f.shape != v.shape:
         raise ValueError("vector length does not match operator dimension")
@@ -322,12 +339,19 @@ def generator_pairing_check(op: SymmetricOperator, psi, phi,
 
 
 def semigroup(op: SymmetricOperator, t: float) -> SymmetricOperator:
-    """e^{-t L} by spectral calculus, re-symmetrized exactly."""
+    """e^{-t L} by spectral calculus, re-symmetrized exactly.
+
+    Refused when not finite: a computed eigenvalue below zero, exact or a
+    rounding of a graph's zero mode, overflows the exponential at a large t.
+    """
     _require_nonneg(t, "time")
     w, u = op.eigh
     e = (u * np.exp(-t * w)) @ u.T
     e = 0.5 * (e + e.T)
-    return symmetric_operator(e)
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"e^(-tL) overflows at t = {t:.6g}: "
+                         f"L has the computed eigenvalue {w[0]:.3e} below zero")
+    return SymmetricOperator(op.dim, e)
 
 
 def positivity_domination_check(op: SymmetricOperator, t: float, psi,
@@ -337,10 +361,7 @@ def positivity_domination_check(op: SymmetricOperator, t: float, psi,
     Positivity preservation of the semigroup is what makes this valid, so
     the operator must again be of graph-Laplacian type.
     """
-    if not is_graph_laplacian(op):
-        raise ValueError("domination check requires nonpositive off-diagonals")
-    _require_nonneg(tol, "tol")
-    v = _states(op, psi)
+    v = _states(op, psi, tol, "domination")
     ev, e_abs = _apply(semigroup(op, t).entries, v, np.abs(v))
     return _entrywise(e_abs, np.abs(ev), tol)
 

@@ -180,6 +180,8 @@ def _spectral_arrays(n: int, kmax: int):
 
     Views into the kept arrays of n, grown to kmax rounded up to a power of
     two, so a ladder of nearby K and a later shorter request reuse them.
+    Raises OverflowError when d_kmax overflows a double (d_k grows with k
+    for n >= 2, so it is the largest asked for; the padding is not looked at).
     """
     global _last_arrays
     held_n, arrays = _last_arrays
@@ -192,6 +194,11 @@ def _spectral_arrays(n: int, kmax: int):
         for arr in arrays:
             arr.setflags(write=False)
         _last_arrays = (n, arrays)
+    d = arrays[2]
+    if kmax > 0 and not math.isfinite(d[kmax - 1]):
+        first = int(np.argmin(np.isfinite(d[:kmax]))) + 1
+        raise OverflowError(f"multiplicity d_k of S^{n} overflows a double from "
+                            f"k = {first} on, below the K = {kmax} asked for")
     return tuple(a[:kmax] for a in arrays)
 
 
@@ -206,7 +213,9 @@ def _spectral_range(n: int, k_lo: int, k_hi: int):
     d = np.full_like(k, 2.0)
     if n > 1:
         d = np.ones_like(k)
-        for i in range(1, n - 1):
-            d = d * (k + i) / i
-        d = d * (2.0 * k + n - 1) / (n - 1)
+        # d_k past a double is inf; _spectral_arrays names it if it is asked for
+        with np.errstate(over="ignore"):
+            for i in range(1, n - 1):
+                d = d * (k + i) / i
+            d = d * (2.0 * k + n - 1) / (n - 1)
     return lam, u, d

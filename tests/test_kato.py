@@ -1,6 +1,7 @@
 """Matrix models: sign vectors, pointwise and pairing inequalities,
 semigroup positivity, trace domination, and the Duhamel defect."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,105 @@ def test_symmetric_operator_validation():
     assert op.spectrum[0] >= -1e-10
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0  # read-only
+
+
+def test_every_constructor_returns_read_only_entries():
+    ops = builder_set() + [symmetric_operator([[2.0, -1.0], [-1.0, 2.0]])]
+    for op in ops + [semigroup(op, 0.5) for op in ops]:
+        assert not op.entries.flags.writeable
+        with pytest.raises(ValueError):
+            op.entries[0, 0] = 5.0
+    assert not potential([1.0, 2.0]).diagonal.flags.writeable
+
+
+def test_symmetric_operator_copies_its_input():
+    mat = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    op = symmetric_operator(mat)
+    mat[0, 0] = 5.0
+    assert mat.flags.writeable and op.entries[0, 0] == 2.0
+
+
+def test_only_outside_input_is_checked_for_symmetry(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an internally built operator was re-validated")
+
+    rng = np.random.default_rng(10)
+    monkeypatch.setattr(kato.np, "array_equal", fail)
+    for op in (cycle_laplacian(8), cycle_laplacian(9), complete_laplacian(5),
+               random_graph_laplacian(12, 0.3, 5)):
+        psi, v = random_state(op.dim, rng), potential(rng.uniform(0.0, 1.0, op.dim))
+        assert kato_pointwise_check(op, psi).ok
+        assert generator_pairing_check(op, psi, np.abs(psi)).ok
+        assert positivity_domination_check(op, 0.5, psi).ok
+        assert trace_domination_check(op, v, 0.5).ok
+        assert duhamel_residual(op, v, 0.5, 64) <= 1e-6
+        assert commute_residual(op, 0.5) <= 1e-12
+        assert semigroup(op, 0.5).dim == op.dim
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        symmetric_operator([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
+
+
+def _old_is_graph_laplacian(entries):
+    # the formula is_graph_laplacian evaluated on every call before it was kept
+    off = entries - np.diag(np.diag(entries))
+    return bool(np.all(off <= 0.0))
+
+
+@pytest.mark.parametrize("mat, expected", [
+    ([[5.0]], True), ([[-3.0]], True),
+    ([[1.0, -0.0], [-0.0, 1.0]], True), ([[1.0, 0.0], [0.0, 1.0]], True),
+    ([[1.0, 0.5], [0.5, 1.0]], False), ([[1.0, -1e-300], [-1e-300, 1.0]], True),
+    ([[2.0, -1.0, 1e-300], [-1.0, 2.0, -1.0], [1e-300, -1.0, 2.0]], False),
+])
+def test_is_laplacian_matches_the_old_formula(mat, expected):
+    op = symmetric_operator(mat)
+    assert op.is_laplacian is is_graph_laplacian(op) is expected
+    assert _old_is_graph_laplacian(op.entries) is expected
+
+
+def test_is_laplacian_is_computed_once(monkeypatch):
+    op = random_graph_laplacian(12, 0.3, 5)
+    psi = random_state(12, np.random.default_rng(11))
+    assert kato_pointwise_check(op, psi).ok
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the Laplacian class was computed again")
+
+    monkeypatch.setattr(kato.np, "diag", fail)
+    assert is_graph_laplacian(op) and op.is_laplacian
+    assert kato_pointwise_check(op, psi).ok
+    assert generator_pairing_check(op, psi, np.abs(psi)).ok
+    assert positivity_domination_check(op, 0.5, psi).ok
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symmetric_operator([[2, -1j], [1j, 2]]),
+    lambda: symmetric_operator(np.eye(2, dtype=complex)),
+    lambda: potential([1 + 1j, 2]),
+])
+def test_complex_input_is_refused(make):
+    # a complex array was once cast to its real part with only a numpy
+    # warning, so a check ran on a different operator and could report ok
+    with pytest.raises(ValueError, match="entries must be real"):
+        make()
+
+
+@pytest.mark.parametrize("build, message", [
+    (cycle_laplacian, "cycle needs at least 3 vertices"),
+    (complete_laplacian, "complete graph needs at least 2 vertices"),
+    (lambda m: random_graph_laplacian(m, 0.3, 1), "need at least 2 vertices"),
+])
+@pytest.mark.parametrize("m", [8.0, np.float64(8.0), 8.5, True, 1])
+def test_builder_sizes_must_be_integers(build, message, m):
+    with pytest.raises(ValueError, match=message):
+        build(m)
+
+
+def test_builders_take_a_numpy_integer_size():
+    assert np.array_equal(cycle_laplacian(np.int64(8)).entries, cycle_laplacian(8).entries)
+    assert complete_laplacian(np.int64(5)).dim == 5
+    assert random_graph_laplacian(np.int64(6), 0.3, 1).dim == 6
 
 
 def test_cycle_laplacian_structure():
@@ -193,18 +293,19 @@ def test_semigroup_properties():
 def test_semigroup_refuses_an_overflowing_exponential():
     # e^{-tL} is not finite by construction: a computed eigenvalue below zero,
     # here exact or a rounding of a graph's zero mode, overflows at a large t,
-    # and the finiteness check of symmetric_operator refuses the result
+    # and semigroup refuses the result naming t and the cause
     cases = [(symmetric_operator([[-1.0]]), 1000.0)]
     graph = next((op for op in (random_graph_laplacian(24, 0.2, seed) for seed in range(1, 65))
                   if op.eigh[0][0] < 0.0), None)
     if graph is not None:  # which seed rounds below zero depends on LAPACK
         cases.append((graph, 1e300))
     for op, t in cases:
+        refusal = re.escape(f"e^(-tL) overflows at t = {t:g}: L has the computed eigenvalue -")
         with np.errstate(all="ignore"):
             assert not np.all(np.isfinite(np.exp(-t * op.eigh[0])))
-            with pytest.raises(ValueError, match="operator entries must be finite"):
+            with pytest.raises(ValueError, match=refusal):
                 semigroup(op, t)
-            with pytest.raises(ValueError, match="operator entries must be finite"):
+            with pytest.raises(ValueError, match=refusal):
                 positivity_domination_check(op, t, np.ones(op.dim))
 
 

@@ -247,6 +247,19 @@ def test_sphere_spec_refuses_an_overflowing_volume():
         sphere_spec(343)
 
 
+def test_spectral_arrays_name_an_overflowing_multiplicity():
+    # d_k of S^300 first leaves the double range at k = 1025: a request up to
+    # 1024 is finite whatever its power-of-two padding holds, one past it is
+    # refused by name instead of summing inf into a NaN bound
+    assert np.all(np.isfinite(_spectral_arrays(300, 1024)[2]))
+    with pytest.raises(OverflowError, match="S\\^300 overflows a double from k = 1025 on, "
+                                            "below the K = 1025 asked for"):
+        _spectral_arrays(300, 1025)
+    assert np.all(np.isfinite(_spectral_arrays(300, 1024)[2]))
+    with pytest.raises(OverflowError, match="S\\^340 overflows a double from k = 840 on"):
+        heat_trace(1e-4, 340)
+
+
 def test_sphere_spec_is_computed_once_per_dimension():
     assert sphere_spec(7) is sphere_spec(7)
     for n in (1, 2, 3, 16, 341):
