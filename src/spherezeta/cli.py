@@ -318,10 +318,7 @@ def _cmd_zeta(args):
         if args.form == "series":
             r = zeta.regularized_zeta(s, args.n, pol)
         elif args.form == "closed":
-            r = zeta._closed_form_terms(s, args.n)
-            if not r.tail_bound <= pol.tol:
-                raise AccuracyError(
-                    f"certified bound {r.tail_bound:.3e} exceeds tol {pol.tol:.3e}")
+            r = zeta._closed_form_terms(s, args.n, pol.tol)
         else:
             c = (args.n - 1) / 2.0
             if c <= 0.0:

@@ -39,9 +39,10 @@ finite, which a computed eigenvalue below zero can cause at a large t.
 Every operator keeps its entries read-only and answers once whether it is
 a graph Laplacian (``SymmetricOperator.is_laplacian``).
 
-The pointwise, pairing and positivity checks take either one state of
-length m or an m x T block of states as columns; a block is pushed through
-L or e^{-tL} by a single real matrix product on [Re psi | Im psi | r].
+The pointwise, pairing and positivity checks take one finite state of
+length m or an m x T block of them as columns, and pairing a real, finite,
+nonnegative phi of that shape; a block is pushed through L or e^{-tL} by a
+single real matrix product on [Re psi | Im psi | r].
 
 The Simpson sum  sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X},  H = X + Y, is
 collapsed into the two eigenbases:  with M[a,b] = sum_j omega_j
@@ -260,8 +261,8 @@ def _require_nonneg(value: float, name: str) -> None:
 
 
 def _states(op: SymmetricOperator, psi, tol: float, check: str) -> np.ndarray:
-    """One state of length dim, or a dim x T block of states as columns, for
-    the ``check`` named, which needs a graph Laplacian and a valid tol."""
+    """One finite state of length dim, or a dim x T block of them as columns,
+    for the ``check`` named, which needs a graph Laplacian and a valid tol."""
     if not op.is_laplacian:
         raise ValueError(f"{check} check requires nonpositive off-diagonals")
     _require_nonneg(tol, "tol")
@@ -270,6 +271,8 @@ def _states(op: SymmetricOperator, psi, tol: float, check: str) -> np.ndarray:
         raise ValueError("vector length does not match operator dimension")
     if v.size == 0:
         raise ValueError("a block of states needs at least one column")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state entries must be finite")
     return v
 
 
@@ -326,11 +329,11 @@ def generator_pairing_check(op: SymmetricOperator, psi, phi,
     and have the shape of psi: one vector, or one column per state.
     """
     v = _states(op, psi, tol, "pairing")
-    f = np.asarray(phi, dtype=float)
+    f = _real(phi, "test vector")
     if f.shape != v.shape:
         raise ValueError("vector length does not match operator dimension")
-    if np.any(f < 0.0):
-        raise ValueError("test vector phi must be nonnegative")
+    if not np.all(np.isfinite(f) & (f >= 0.0)):
+        raise ValueError("test vector phi must be finite and nonnegative")
     lv, lf = _apply(op.entries, v, f)
     lhs = _column_dots(np.real(sign_vector(v) * -lv), f)
     rhs = _column_dots(np.abs(v), -lf)

@@ -6,14 +6,15 @@ cos(gamma) = <x, y>, and are expanded in normalized Gegenbauer ratios r_k,
     heat:  K_t(x, y)      = (1/V_n) sum_{k>=0} d_k e^{-lambda_k t} r_k,
     zeta:  zeta_s(x, y)   = (1/V_n) sum_{k>=1} d_k lambda_k^(-s) r_k,
 
-with V_n the sphere volume, so that V_n * K_t on the diagonal reproduces
-the heat trace exactly.  Both sum d_k r_k / V_n, with the k = 0 heat term
-1/V_n as the offset.  Tail certificates rest on |r_k| <= 1, so the K rung
-(``truncation.smallest_k`` at tol/2), its truncation bound and the decay
-vector e^{-lambda_k t} or lambda_k^(-s), k = 1..K, depend on the kind, n, t
-or s and the policy, never on the angle: ``_zonal_rung`` keeps them for the
-last few such profiles, and each angle sums its own head to that K and is
-certified by ``truncation._certify``.  These two steps, the one ladder and
+with V_n the sphere volume.  Both sum d_k r_k / V_n, with the k = 0 heat
+term 1/V_n as the offset.  The heat trace Tr e^{t Delta} = V_n K_t(x, x) is
+the same sum on the diagonal, where every r_k is exactly 1, at volume 1.
+Tail certificates rest on |r_k| <= 1, so the K rung (``truncation.smallest_k``
+at tol/2), its truncation bound and the decay vector e^{-lambda_k t} or
+lambda_k^(-s), k = 1..K, depend on the kind, n, t or s, the volume and the
+policy, never on the angle: ``_zonal_rung`` keeps them for the last few such
+profiles, and each angle sums its own head to that K and is certified by
+``truncation._certify``.  These two steps, the one ladder and
 the one acceptance test, are the core every certified sum shares.  A refusal
 is never kept, so it raises again at every angle.  Of the tails, the heat
 family bounds the multiplicity by d_k(n) <= 2 (k+1)^(n-1) and closes with an
@@ -46,7 +47,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .specfun import gegenbauer_ratio_series
-from .spectrum import _require_dimension, _spectral_arrays, sphere_spec
+from .spectrum import _spectral_arrays, sphere_spec
 from .truncation import (
     _EPS,
     DEFAULT_POLICY,
@@ -55,7 +56,6 @@ from .truncation import (
     TruncationPolicy,
     _certify,
     _roundoff_allowance,
-    certified_sum,
     smallest_k,
 )
 from .zeta import _require_exponent, _spectral_tail
@@ -63,14 +63,15 @@ from .zeta import _require_exponent, _spectral_tail
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Zonal kernel evaluation request: dimension, cos(gamma), accuracy."""
+    """Zonal kernel evaluation request: dimension n <= 342, cos(gamma), accuracy."""
 
     n: int
     cos_gamma: float
     policy: TruncationPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
-        _require_dimension(self.n)
+        # a numpy integer is kept as the int it equals
+        object.__setattr__(self, "n", sphere_spec(self.n).n)
         if not (-1.0 <= self.cos_gamma <= 1.0):
             raise ValueError("cos_gamma must lie in [-1, 1]")
 
@@ -137,14 +138,13 @@ def _zeta_decay(lam, s: float):
 
 
 @lru_cache(maxsize=_RUNG_ENTRIES)
-def _zonal_rung(tail, decay, n: int, x: float, policy: TruncationPolicy,
+def _zonal_rung(tail, decay, n: int, x: float, vol: float, policy: TruncationPolicy,
                 k_min: int) -> tuple[int, float, np.ndarray]:
     """(K, truncation bound, decay(lambda_k, x) for k = 1..K) of a zonal sum
-    with tail bound tail(n, x, K), the bound over V_n; independent of the
+    with tail bound tail(n, x, K), the bound over vol; independent of the
     angle, so kept for the next one.  The decay vector is a new read-only
     array, no view into the spectral arrays.  A refusal raises and is not
     kept, so it raises again at every angle."""
-    vol = sphere_spec(n).volume
     k, _, bound = smallest_k(lambda j: (0.0, tail(n, x, j) / vol), 0.5 * policy.tol,
                              k_min, policy.max_k)
     dec = decay(_spectral_arrays(n, k)[0], x)
@@ -152,12 +152,11 @@ def _zonal_rung(tail, decay, n: int, x: float, policy: TruncationPolicy,
     return k, bound, dec
 
 
-def _zonal_sum(q: KernelQuery, decay, tail, x: float, k_min: int,
+def _zonal_sum(q: KernelQuery, decay, tail, x: float, k_min: int, vol: float,
                offset: float | None = None) -> EvalResult:
-    """Certified (1/V_n) [offset + sum_{k>=1} d_k r_k decay(lambda_k, x)],
+    """Certified (1/vol) [offset + sum_{k>=1} d_k r_k decay(lambda_k, x)],
     where tail(n, x, K) bounds the unweighted sum past K (|r_k| <= 1)."""
-    vol = sphere_spec(q.n).volume
-    k, bound, dec = _zonal_rung(tail, decay, q.n, x, q.policy, k_min)
+    k, bound, dec = _zonal_rung(tail, decay, q.n, x, vol, q.policy, k_min)
     d = _spectral_arrays(q.n, k)[2]
     head = d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * dec / vol
     return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), 0.0, bound, k,
@@ -168,28 +167,24 @@ def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
     """Zonal heat kernel K_t at cos(gamma), certified to q.policy.tol."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    return _zonal_sum(q, _heat_decay, _heat_tail_bound, t, _heat_k_min(q.n, t), 1.0)
+    return _zonal_sum(q, _heat_decay, _heat_tail_bound, t, _heat_k_min(q.n, t),
+                      sphere_spec(q.n).volume, 1.0)
 
 
 def zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     """Zonal zeta kernel at cos(gamma) for finite s > n/2, certified to q.policy.tol."""
     _require_exponent(s, q.n)
-    return _zonal_sum(q, _zeta_decay, _zeta_tail, s, 8)
+    return _zonal_sum(q, _zeta_decay, _zeta_tail, s, 8, sphere_spec(q.n).volume)
 
 
 def heat_trace(t: float, n: int,
                policy: TruncationPolicy = DEFAULT_POLICY) -> EvalResult:
-    """Tr e^{t Delta} = sum_{k>=0} d_k e^{-lambda_k t}, certified."""
+    """Tr e^{t Delta} = sum_{k>=0} d_k e^{-lambda_k t}, certified: the heat
+    kernel's sum on the diagonal, where every r_k is 1, at unit volume."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    n = _require_dimension(n)
-
-    def terms(k):
-        lam, _, d = _spectral_arrays(n, k)
-        return d * np.exp(-lam * t)
-
-    return certified_sum(terms, lambda k: (0.0, _heat_tail_bound(n, t, k)), policy,
-                         _heat_k_min(n, t), offset=1.0)
+    q = KernelQuery(n, 1.0, policy)
+    return _zonal_sum(q, _heat_decay, _heat_tail_bound, t, _heat_k_min(q.n, t), 1.0, 1.0)
 
 
 def circle_heat_oracle(t: float, gamma: float) -> float:

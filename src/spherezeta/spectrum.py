@@ -9,6 +9,10 @@ both computed in exact integer arithmetic.  The additive shift
 c_n = ((n-1)/2)^2 completes the square: lambda_k + c_n = (k + (n-1)/2)^2,
 exactly, which is what makes the shifted zeta functions collapse to
 Hurwitz-type sums.
+
+The exact-integer functions (``eigenvalue``, ``multiplicity``,
+``spectrum_slice``) take any n >= 1; the zetas, kernels and heat trace take
+n through ``sphere_spec``, which refuses n > 342 (the volume overflows).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import NamedTuple
@@ -89,18 +92,11 @@ def shifted_eigenvalue(k: int, n: int) -> float:
     return (2 * k + n - 1) ** 2 / 4.0
 
 
-def _comb0(m: int, r: int) -> int:
-    # binomial with the usual convention C(m, r) = 0 for m < 0
-    if m < 0:
-        return 0
-    return math.comb(m, r)
-
-
 def multiplicity(k: int, n: int) -> int:
     """Multiplicity of lambda_k on S^n, via the exact binomial difference."""
     n = _require_dimension(n)
     k = _require_int(k, 0, "degree k must be a nonnegative integer")
-    return _comb0(k + n, n) - _comb0(k + n - 2, n)
+    return math.comb(k + n, n) - (math.comb(k + n - 2, n) if k >= 2 else 0)
 
 
 def multiplicity_product_form(k: int, n: int) -> int:
@@ -148,23 +144,19 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
 
     and the product's roots come in +/- pairs about zero, so the polynomial
     is odd or even in u.  For n = 1 the factorials cancel to the constant 2.
-    Coefficients are computed in exact rational arithmetic and rounded once.
+    In v = 2u the roots are integers: d_k = c(v) / ((n-1)! 2^(n-2)) with
+    c(v) = v prod_{i=1}^{n-2} (v + 2i - n + 1) expanded in exact integers,
+    and a_m = c_m 2^m / ((n-1)! 2^(n-2)) is one correctly rounded quotient.
     """
     n = _require_dimension(n)
     if n == 1:
         return (2.0,)
-    rho = Fraction(n - 1, 2)
-    poly = [Fraction(1)]
+    c = [0, 1]  # c(v) = v, lowest degree first
     for i in range(1, n - 1):
-        shift = Fraction(i) - rho
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for j, cj in enumerate(poly):
-            nxt[j] += cj * shift
-            nxt[j + 1] += cj
-        poly = nxt
-    fact = math.factorial(n - 1)
-    coeffs = [Fraction(0)] + [2 * c / fact for c in poly]
-    return tuple(float(c) for c in coeffs)
+        root = 2 * i - n + 1
+        c = [a * root + b for a, b in zip(c + [0], [0] + c)]
+    den = math.factorial(n - 1) << (n - 2)
+    return tuple((c_m << m) / den for m, c_m in enumerate(c))
 
 
 # (n, (lam, u, d)) for k = 1..2^j of the last n asked for.  A longer request

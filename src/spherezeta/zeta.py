@@ -18,7 +18,7 @@ truncation error is controlled by a geometric-ratio bound.
 
 ``closed_form_Z`` reduces Z to Riemann zeta values for n <= 4, one term
 per coefficient of the multiplicity polynomial, all from one
-``shifted_power_sums`` call.  Note for n = 3: the
+``shifted_power_sums`` call; a bound over tol raises.  Note for n = 3: the
 reduction often quoted as zeta_R(2s-1) - 1 does not match the defining
 series; the series is
 sum_{k>=1} (k+1)^2 (k+1)^(-2s) = zeta_R(2s-2) - 1, and that is what is
@@ -34,7 +34,6 @@ import numpy as np
 
 from .majorize import partial_sum_domination
 from .spectrum import (
-    _require_dimension,
     _require_int,
     _spectral_arrays,
     mult_poly_coeffs,
@@ -43,6 +42,7 @@ from .spectrum import (
 from .truncation import (
     _TIGHT,
     DEFAULT_POLICY,
+    AccuracyError,
     EvalResult,
     TruncationPolicy,
     certified_sum,
@@ -116,9 +116,9 @@ def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
 
 
 def _require_exponent(s: float, n: int) -> None:
-    """Refuse, before any summing, an n that is not a sphere dimension and an
-    s that is not a finite number above n/2."""
-    _require_dimension(n)
+    """Refuse, before any summing, an n that is not a sphere dimension of at
+    most 342 (``sphere_spec``) and an s that is not a finite number above n/2."""
+    sphere_spec(n)
     if not (s > n / 2.0):
         raise ValueError("need s > n/2 for convergence")
     if not math.isfinite(s):
@@ -168,13 +168,13 @@ def hurwitz_style_Z(s: float, c: float,
     return shifted_power_sum(2.0 * s, c, policy)
 
 
-def _closed_form_terms(s: float, n: int) -> EvalResult:
+def _closed_form_terms(s: float, n: int, tol: float) -> EvalResult:
     """Certified n <= 4 reduction; terms_used counts the zeta terms summed.
 
     Z = sum_m a_m sum_{k>=1} u^(-p), p = 2s - m, over d_k = sum_m a_m u^m,
     u = k + rho (``mult_poly_coeffs``); the inner sum is zeta_R(p) less its
     first rho terms, or (2^p - 1) zeta_R(p) less (j + 1/2)^(-p), j < rho,
-    for half-integer rho."""
+    for half-integer rho.  A bound over tol (large s cancels) raises AccuracyError."""
     _require_exponent(s, n)
     if n not in (1, 2, 3, 4):
         # beyond n = 4 the a_m alternate in sign and cancel
@@ -190,12 +190,14 @@ def _closed_form_terms(s: float, n: int) -> EvalResult:
         value += a_m * (scale * z.value - first)
         bound += abs(a_m) * scale * z.tail_bound
         terms += z.terms_used
+    if not bound <= tol:
+        raise AccuracyError(f"certified bound {bound:.3e} exceeds tol {tol:.3e}")
     return EvalResult(value, terms, bound)
 
 
 def closed_form_Z(s: float, n: int) -> float:
-    """Elementary reduction of Z_{S^n}(s) to Riemann zeta values, n <= 4."""
-    return _closed_form_terms(s, n).value
+    """Z_{S^n}(s) from Riemann zeta values, n <= 4; a bound over 1e-10 raises."""
+    return _closed_form_terms(s, n, DEFAULT_POLICY.tol).value
 
 
 def compare_zeta_pair(s: float, n: int, kmax: int,

@@ -732,3 +732,42 @@ def test_checks_refuse_a_bad_tol(tol):
         positivity_domination_check(op, 1.0, psi, tol)
     with pytest.raises(ValueError, match="tol"):
         trace_domination_check(op, potential(np.ones(6)), 1.0, tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+def test_states_must_be_finite(bad):
+    # a NaN compares false against the tolerance, so a NaN state once passed
+    # the pointwise check and an inf state the positivity check
+    op = cycle_laplacian(5)
+    psi = np.ones(5, dtype=complex)
+    psi[0] = bad
+    block = np.ones((5, 3), dtype=complex)
+    block[2, 1] = bad
+    for states in (psi, block):
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            kato_pointwise_check(op, states)
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            generator_pairing_check(op, states, np.ones(states.shape))
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            positivity_domination_check(op, 1.0, states)
+
+
+def test_pairing_refuses_a_complex_test_vector():
+    # a complex phi was once cast to its real part with only a ComplexWarning
+    op = cycle_laplacian(5)
+    with pytest.raises(ValueError, match="test vector entries must be real"):
+        generator_pairing_check(op, np.ones(5), (1 + 1j) * np.ones(5))
+    with pytest.raises(ValueError, match="test vector entries must be real"):
+        generator_pairing_check(op, np.ones((5, 2)), np.ones((5, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pairing_refuses_a_nonfinite_test_vector(bad):
+    # a NaN phi once gave ok=False, a "fails" verdict on no test vector at all
+    op = cycle_laplacian(5)
+    phi = np.ones(5)
+    phi[3] = bad
+    with pytest.raises(ValueError, match="phi must be finite and nonnegative"):
+        generator_pairing_check(op, np.ones(5), phi)
+    with pytest.raises(ValueError, match="phi must be finite and nonnegative"):
+        generator_pairing_check(op, np.ones((5, 2)), np.stack([np.ones(5), phi], axis=1))

@@ -496,6 +496,34 @@ def test_shared_rungs_match_one_certified_sum_per_call(n):
         assert _outcome(zeta_kernel, s, qq) == _unshared_kernel("zeta", s, qq)
 
 
+def _trace_outcome(fn, t, n, policy):
+    try:
+        r = fn(t, n, policy)
+    except (TruncationError, AccuracyError, OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return r.value.hex(), r.terms_used, r.tail_bound.hex()
+
+
+def _certified_sum_trace(t, n, policy):
+    # the heat trace as one truncation.certified_sum call, no r_k and no volume
+    def terms(k):
+        lam, _, d = _spectral_arrays(n, k)
+        return d * np.exp(-lam * t)
+
+    return certified_sum(terms, lambda k: (0.0, _heat_tail_bound(n, t, k)), policy,
+                         _heat_k_min(n, t), offset=1.0)
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 100, 340, 342])
+def test_heat_trace_is_its_certified_sum_form(n):
+    # on the diagonal every r_k is exactly 1 and division by the unit volume
+    # is exact, so the zonal sum gives the trace's bits, refusals included
+    for pol in _SHARED_POLICIES:
+        for t in (1e-320, 1e-6, 0.02, 0.7, 50.0, math.inf):
+            assert (_trace_outcome(heat_trace, t, n, pol)
+                    == _trace_outcome(_certified_sum_trace, t, n, pol))
+
+
 def test_a_refusal_raises_again_at_every_angle():
     kernels._zonal_rung.cache_clear()
     tiny = TruncationPolicy(max_k=100, tol=1e-10)
@@ -538,7 +566,7 @@ def test_kept_decay_vectors_give_the_values_of_a_cleared_store():
     for tail, decay, x, k_min in (
             (kernels._heat_tail_bound, kernels._heat_decay, 2e-3, _heat_k_min(6, 2e-3)),
             (kernels._zeta_tail, kernels._zeta_decay, 4.25, 8)):
-        k, _, dec = kernels._zonal_rung(tail, decay, 6, x, pol, k_min)
+        k, _, dec = kernels._zonal_rung(tail, decay, 6, x, sphere_spec(6).volume, pol, k_min)
         assert dec.tobytes() == decay(spectrum._spectral_range(6, 1, k)[0], x).tobytes()
         assert not dec.flags.writeable
         with pytest.raises(ValueError):
@@ -588,6 +616,6 @@ def test_inputs_are_checked_before_any_summing():
             mellin_zeta_kernel(s, q(2, 0.5))
     with pytest.raises(ValueError, match="finite"):
         zeta_kernel(math.inf, q(2, 0.5))
-    # no volume is needed for the trace, so n past 342 still certifies
-    r = heat_trace(0.5, 400)
-    assert r.value == 1.0 and r.tail_bound <= 1e-10
+    # every float series takes n through sphere_spec, the trace included
+    with pytest.raises(ValueError, match="sphere dimension n = 400 exceeds 342"):
+        heat_trace(0.5, 400)

@@ -283,7 +283,8 @@ _PRODUCERS = {
     "regularized_zeta": lambda: [zeta.regularized_zeta(2.5, 3)],
     "spectral_zeta": lambda: [zeta.spectral_zeta(2.5, 3)],
     "hurwitz_style_Z": lambda: [zeta.hurwitz_style_Z(2.0, 1.5)],
-    "_closed_form_terms": lambda: [zeta._closed_form_terms(3.0, n) for n in (1, 2, 3, 4)],
+    "_closed_form_terms": lambda: [zeta._closed_form_terms(3.0, n, DEFAULT_POLICY.tol)
+                                   for n in (1, 2, 3, 4)],
     "compare_zeta_pair": lambda: [getattr(zeta.compare_zeta_pair(2.5, 3, 50), f)
                                   for f in ("zeta_laplace", "zeta_shifted")],
     "heat_kernel": lambda: [kernels.heat_kernel(0.3, KernelQuery(n=3, cos_gamma=0.2))],
