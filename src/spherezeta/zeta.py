@@ -174,7 +174,7 @@ def _closed_form_terms(s: float, n: int, tol: float) -> EvalResult:
     Z = sum_m a_m sum_{k>=1} u^(-p), p = 2s - m, over d_k = sum_m a_m u^m,
     u = k + rho (``mult_poly_coeffs``); the inner sum is zeta_R(p) less its
     first rho terms, or (2^p - 1) zeta_R(p) less (j + 1/2)^(-p), j < rho,
-    for half-integer rho.  A bound over tol (large s cancels) raises AccuracyError."""
+    for half-integer rho.  Raises AccuracyError when the bound exceeds tol."""
     _require_exponent(s, n)
     if n not in (1, 2, 3, 4):
         # beyond n = 4 the a_m alternate in sign and cancel
@@ -196,7 +196,7 @@ def _closed_form_terms(s: float, n: int, tol: float) -> EvalResult:
 
 
 def closed_form_Z(s: float, n: int) -> float:
-    """Z_{S^n}(s) from Riemann zeta values, n <= 4; a bound over 1e-10 raises."""
+    """Z_{S^n}(s) from Riemann zeta values, n <= 4, certified to 1e-10 or refused."""
     return _closed_form_terms(s, n, DEFAULT_POLICY.tol).value
 
 
