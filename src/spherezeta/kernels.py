@@ -12,8 +12,9 @@ the same sum on the diagonal, where every r_k is exactly 1, at volume 1.
 Tail certificates rest on |r_k| <= 1, so the K rung (``truncation.smallest_k``
 at tol/2), its truncation bound and the decay vector e^{-lambda_k t} or
 lambda_k^(-s), k = 1..K, depend on the kind, n, t or s, the volume and the
-policy, never on the angle: ``_zonal_rung`` keeps them for the last few such
-profiles, and each angle sums its own head to that K and is certified by
+policy, never on the angle: ``_zonal_rung`` keeps them, with its own copy of
+the multiplicities d_k, for the last few such profiles, and each angle sums
+its own head d_k r_k decay_k / vol to that K and is certified by
 ``truncation._certify``.  These two steps, the one ladder and
 the one acceptance test, are the core every certified sum shares.  A refusal
 is never kept, so it raises again at every angle.  Of the tails, the heat
@@ -99,6 +100,10 @@ def _heat_tail_bound(n: int, t: float, k_last: int) -> float:
         return 2.0**n * (c ** (n - 1) * ect + vals[n - 1])
     except OverflowError:
         pass
+    if 2.0 * t == math.inf:
+        # log(2t) overflows, and the tail, at most 2^n sum_{k > k_last}
+        # k^(n-1) e^(-t k^2), is far below the least subnormal; 0 at t = inf
+        return 0.0 if t == math.inf else math.ulp(0.0)
     # the same recursion on logs, where a power of c or of 2 overflows; the
     # erfc underflows first, so its log uses erfc(x) <= e^(-x^2) / (x sqrt(pi))
     x, log_2t = c * math.sqrt(t), math.log(2.0 * t)
@@ -130,7 +135,9 @@ _RUNG_ENTRIES = 8
 
 
 def _heat_decay(lam, t: float):
-    return np.exp(-lam * t)
+    # lambda_k >= 1, so e^(-lambda_k t) is 0.0 in floats for every t past 746;
+    # the cap keeps -lambda_k t finite there
+    return np.exp(-lam * min(t, 1e3))
 
 
 def _zeta_decay(lam, s: float):
@@ -139,42 +146,46 @@ def _zeta_decay(lam, s: float):
 
 @lru_cache(maxsize=_RUNG_ENTRIES)
 def _zonal_rung(tail, decay, n: int, x: float, vol: float, policy: TruncationPolicy,
-                k_min: int) -> tuple[int, float, np.ndarray]:
-    """(K, truncation bound, decay(lambda_k, x) for k = 1..K) of a zonal sum
-    with tail bound tail(n, x, K), the bound over vol; independent of the
-    angle, so kept for the next one.  The decay vector is a new read-only
-    array, no view into the spectral arrays.  A refusal raises and is not
-    kept, so it raises again at every angle."""
+                k_min: int) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """(K, truncation bound, decay(lambda_k, x), d_k) for k = 1..K of a zonal
+    sum with tail bound tail(n, x, K), the bound over vol; independent of the
+    angle, so kept for the next one.  Both vectors are new read-only arrays,
+    no views into the spectral arrays, which the next n replaces.  A refusal
+    raises and is not kept, so it raises again at every angle."""
     k, _, bound = smallest_k(lambda j: (0.0, tail(n, x, j) / vol), 0.5 * policy.tol,
                              k_min, policy.max_k)
-    dec = decay(_spectral_arrays(n, k)[0], x)
+    lam, _, d = _spectral_arrays(n, k)
+    dec, d = decay(lam, x), d.copy()
     dec.setflags(write=False)
-    return k, bound, dec
+    d.setflags(write=False)
+    return k, bound, dec, d
 
 
-def _zonal_sum(q: KernelQuery, decay, tail, x: float, k_min: int, vol: float,
-               offset: float | None = None) -> EvalResult:
-    """Certified (1/vol) [offset + sum_{k>=1} d_k r_k decay(lambda_k, x)],
-    where tail(n, x, K) bounds the unweighted sum past K (|r_k| <= 1)."""
-    k, bound, dec = _zonal_rung(tail, decay, q.n, x, vol, q.policy, k_min)
-    d = _spectral_arrays(q.n, k)[2]
-    head = d * gegenbauer_ratio_series(q.n, q.cos_gamma, k)[1:] * dec / vol
-    return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), 0.0, bound, k,
-                    q.policy.tol, None if offset is None else offset / vol)
+def _zonal_sum(n: int, cos_gamma: float, policy: TruncationPolicy, decay, tail, x: float,
+               k_min: int, vol: float, offset: float | None = None) -> EvalResult:
+    """Certified (1/vol) [offset + sum_{k>=1} d_k r_k decay(lambda_k, x)] at
+    cos_gamma, where tail(n, x, K) bounds the unweighted sum past K (|r_k| <= 1)."""
+    k, bound, dec, d = _zonal_rung(tail, decay, n, x, vol, policy, k_min)
+    head = d * gegenbauer_ratio_series(n, cos_gamma, k)[1:]
+    head *= dec
+    head /= vol
+    return _certify(float(head.sum()), float(np.abs(head, out=head).sum()), 0.0, bound, k,
+                    policy.tol, None if offset is None else offset / vol)
 
 
 def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
     """Zonal heat kernel K_t at cos(gamma), certified to q.policy.tol."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    return _zonal_sum(q, _heat_decay, _heat_tail_bound, t, _heat_k_min(q.n, t),
-                      sphere_spec(q.n).volume, 1.0)
+    return _zonal_sum(q.n, q.cos_gamma, q.policy, _heat_decay, _heat_tail_bound, t,
+                      _heat_k_min(q.n, t), sphere_spec(q.n).volume, 1.0)
 
 
 def zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     """Zonal zeta kernel at cos(gamma) for finite s > n/2, certified to q.policy.tol."""
     _require_exponent(s, q.n)
-    return _zonal_sum(q, _zeta_decay, _zeta_tail, s, 8, sphere_spec(q.n).volume)
+    return _zonal_sum(q.n, q.cos_gamma, q.policy, _zeta_decay, _zeta_tail, s, 8,
+                      sphere_spec(q.n).volume)
 
 
 def heat_trace(t: float, n: int,
@@ -183,8 +194,9 @@ def heat_trace(t: float, n: int,
     kernel's sum on the diagonal, where every r_k is 1, at unit volume."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    q = KernelQuery(n, 1.0, policy)
-    return _zonal_sum(q, _heat_decay, _heat_tail_bound, t, _heat_k_min(q.n, t), 1.0, 1.0)
+    n = sphere_spec(n).n
+    return _zonal_sum(n, 1.0, policy, _heat_decay, _heat_tail_bound, t, _heat_k_min(n, t),
+                      1.0, 1.0)
 
 
 def circle_heat_oracle(t: float, gamma: float) -> float:

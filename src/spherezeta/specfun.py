@@ -11,15 +11,21 @@ zeta values through the binomial series
         + sum_{m >= 0} (-1)^m Gamma(2s+m)/(m! Gamma(2s)) rho^m zeta_R(2s+m),
 
 truncated with an alternating-series remainder bound.  Its Riemann values
-zeta_R(2s+m), m = 0..m_max+1, come from one ``shifted_power_sums`` call.
+zeta_R(2s+m), m = 0..m_max+1, are the rows of one ``truncation._power_rows``
+call, the core of ``shifted_power_sums``.
 
 Gegenbauer ratios r_k = C_k^{alpha}(t) / C_k^{alpha}(1) with alpha =
 (n-1)/2 are generated by a three-term recurrence that is uniform in n >= 2;
 the n = 1 boundary case is the Chebyshev limit cos(k arccos t).  The table
 of the last (n, t) asked for is kept, and a longer request continues its
-recurrence from the last two entries, so the kernels at one angle share it;
-on the diagonal and at the antipode, t = +-1, the table is r_k = t^k, which
-is what the recurrence gives there, and is built without it.
+recurrence from the last two entries, so the kernels at one angle share it.
+A step's factors j - 1 and j + n - 2 are Python floats read from one small
+store shared by every n, and (2j + n - 3) t is one numpy product per
+extension, rounded as the scalar step rounds it, so every table has the bits
+of the plain loop; a table longer than the store reaches is built in chunks.
+On the diagonal and at the antipode, t = +-1, the table is r_k = t^k, which
+is what the recurrence gives there: it is built without it, fresh on every
+call, and returned without a copy.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .truncation import (
     EvalResult,
     TruncationError,
     TruncationPolicy,
+    _power_rows,
     shifted_power_sum,
-    shifted_power_sums,
 )
 
 
@@ -79,15 +85,16 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
     inner_tails = 0.0
     coef = 1.0  # Gamma(2s+m) / (m! Gamma(2s)), built by recurrence
     abs_accum = abs(value)
-    zeta_r = shifted_power_sums([p + m for m in range(m_max + 2)], 1.0, _TIGHT)
-    for m, zr in enumerate(zeta_r[:-1]):
+    zeta_r, zeta_bounds, _ = _power_rows([p + m for m in range(m_max + 2)], 1.0, _TIGHT)
+    for m in range(m_max + 1):
         if m > 0:
             coef *= (p + m - 1.0) / m
-        term = coef * rho**m * zr.value
+        weight = coef * rho**m
+        term = weight * zeta_r[m]
         if not math.isfinite(term) or abs(term) > 1e300:
             raise OverflowError("binomial expansion term overflowed")
         value += term if m % 2 == 0 else -term
-        inner_tails += coef * rho**m * zr.tail_bound
+        inner_tails += weight * zeta_bounds[m]
         abs_accum += abs(term)
 
     m1 = m_max + 1
@@ -97,7 +104,7 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
             "alternating remainder not certifiable: increase m_max"
         )
     coef *= (p + m1 - 1.0) / m1
-    first_omitted = coef * rho**m1 * zeta_r[m1].value
+    first_omitted = coef * rho**m1 * zeta_r[m1]
     tail = first_omitted + inner_tails + 4.0 * _EPS * abs_accum * math.log2(m_max + 2)
     return EvalResult(value=value, terms_used=m_max + 1, tail_bound=tail)
 
@@ -121,7 +128,14 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     if n == 1:
         theta = math.acos(t)
         return np.cos(theta * np.arange(kmax + 1))
-    return _recurrence_table(n, float(t), kmax)[:kmax + 1].copy()
+    t = float(t)
+    if t == 1.0 or t == -1.0:
+        # every factor of a step is an integer-valued float here, so the
+        # recurrence gives r_k = t^k exactly: a fresh table, not kept
+        r = np.ones(kmax + 1)
+        r[1::2] = t
+        return r
+    return _recurrence_table(n, t, kmax)[:kmax + 1].copy()
 
 
 # ((n, t.hex()), [r_0, ..., r_K]) of the last n >= 2 table asked for.  One
@@ -129,20 +143,35 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
 # whole, never written once published, so a concurrent reader sees an old
 # table or a new one.
 _last_table: tuple = ((0, ""), np.empty(0))
-_CHUNK = 1024  # recurrence steps per batch of precomputed factors
+# [0.0, 1.0, 2.0, ...]: the step factors j - 1 and j + n - 2 of every n are
+# slices of it.  Grown by powers of two up to _FACTOR_CAP entries and replaced
+# whole; a table that reaches past it is built in _CHUNK-step batches, so
+# the Python floats alive at once stay few.
+_float_ints: list = []
+_FACTOR_CAP = 1 << 14
+_CHUNK = 1024
+
+
+def _step_factors(n: int, t: float, lo: int, hi: int) -> tuple[list, list, list]:
+    """(2j + n - 3) t, j - 1 and j + n - 2 as Python floats for j = lo..hi-1;
+    the product is the one float64 rounding the scalar step makes."""
+    global _float_ints
+    a = (np.arange(2 * lo + n - 3, 2 * hi + n - 3, 2) * t).tolist()
+    end = hi + n - 2
+    if end > _FACTOR_CAP:
+        j = np.arange(lo, hi)
+        return a, (j - 1.0).tolist(), (j + n - 2.0).tolist()
+    if len(_float_ints) < end:
+        _float_ints = np.arange(1 << (end - 1).bit_length(), dtype=float).tolist()
+    ints = _float_ints
+    return a, ints[lo - 1:hi - 1], ints[lo + n - 2:end]
 
 
 def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
-    """[r_0, ..., r_K], K >= kmax, for n >= 2: the kept table when it is for
-    (n, t), else a fresh one, extended by the same recurrence steps.  At
-    t = 1 and t = -1 every factor of a step is an integer-valued float, so
-    the recurrence gives r_k = t^k exactly; that table is built directly
-    and not kept."""
+    """[r_0, ..., r_K], K >= kmax, for n >= 2 and -1 < t < 1: the kept table
+    when it is for (n, t), else a fresh one, extended by the same recurrence
+    steps ((2j + n - 3) t r_{j-1} - (j - 1) r_{j-2}) / (j + n - 2)."""
     global _last_table
-    if t == 1.0 or t == -1.0:
-        r = np.ones(kmax + 1)
-        r[1::2] = t
-        return r
     key, r = _last_table
     if key != (n, t.hex()):
         key, r = (n, t.hex()), np.array([1.0, t])
@@ -150,17 +179,14 @@ def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
         k0 = len(r)
         r = np.concatenate((r, np.empty(kmax + 1 - k0)))
         prev, cur = float(r[k0 - 2]), float(r[k0 - 1])
-        # in chunks, so the Python floats alive at once stay few; the integer
-        # factors as exact floats and (2j + n - 3) t formed first, as the
-        # scalar form ((2j + n - 3) t r_{j-1} - (j - 1) r_{j-2}) / (j + n - 2)
-        # rounds them
-        for lo in range(k0, kmax + 1, _CHUNK):
-            j = np.arange(lo, min(lo + _CHUNK, kmax + 1))
+        step = kmax + 1 - k0 if kmax + n - 1 <= _FACTOR_CAP else _CHUNK
+        for lo in range(k0, kmax + 1, step):
+            hi = min(lo + step, kmax + 1)
             vals = []
-            for a, b, c in zip(((2 * j + n - 3) * t).tolist(), (j - 1.0).tolist(),
-                               (j + n - 2.0).tolist()):
+            append = vals.append
+            for a, b, c in zip(*_step_factors(n, t, lo, hi)):
                 prev, cur = cur, (a * cur - b * prev) / c
-                vals.append(cur)
-            r[lo:lo + len(vals)] = vals
+                append(cur)
+            r[lo:hi] = vals
     _last_table = (key, r)
     return r

@@ -14,10 +14,12 @@ the tail's (estimate, bound).  ``_certify`` adds the roundoff allowance over
 the K head terms to the truncation bound and raises ``AccuracyError`` when
 that total exceeds tol.  ``certified_sum`` is the two in a row at target
 tol/2.  A caller whose tail does not depend on the terms, such as a kernel
-swept over angles, takes the rung once and certifies each sum on its own;
-``shifted_power_sums`` takes one rung per exponent and sums the exponents
-that share a rung as the rows of one power block, each row certified by
-``_certify``.
+swept over angles, takes the rung once and certifies each sum on its own.
+``shifted_power_sums`` wraps a row core, ``_power_rows``: it takes one rung
+per exponent, sums the exponents that share a rung as the rows of one power
+block, and gives each row the value and bound ``_certify`` would give it,
+as plain (values, bounds, terms) lists that the binomial Hurwitz route and
+the closed forms read without building a result per exponent.
 
 The workhorse tail is the midpoint-rule estimate for sums of decreasing
 convex terms f(k) = (k + a)^(-p):
@@ -132,11 +134,13 @@ def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
     lead = 0.0 if offset is None else offset
     total = bound + _roundoff_allowance(abs_sum + abs(lead), k)
     if not total <= tol:
-        raise AccuracyError(
-            f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
-            f"exceeds tol {tol:.3e}"
-        )
+        raise _over_tol(total, bound, tol)
     return EvalResult(lead + head_sum + est, k + (offset is not None), total)
+
+
+def _over_tol(total: float, bound: float, tol: float) -> AccuracyError:
+    return AccuracyError(f"certified bound {total:.3e} (truncation {bound:.3e} plus roundoff) "
+                         f"exceeds tol {tol:.3e}")
 
 
 def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
@@ -160,10 +164,22 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
     """Certified sum_{k >= 0} (k + a)^(-p) for every p in ps (each p > 1), a > 0.
 
     Each result equals what ``certified_sum`` gives for that exponent alone,
-    bit for bit: every exponent takes its ``smallest_k`` rung from 16 over
-    ``power_tail``, and the exponents on one rung are the rows of one np.power
-    block, each certified by ``_certify``.  A failure raises what the first
+    bit for bit (see ``_power_rows``).  A failure raises what the first
     failing exponent, taken in order, raises on its own.
+    """
+    values, bounds, terms = _power_rows(ps, a, policy)
+    return list(map(EvalResult, values, terms, bounds))
+
+
+def _power_rows(ps, a: float, policy: TruncationPolicy) -> tuple[list, list, list]:
+    """(values, bounds, terms) of ``shifted_power_sums``, as Python numbers.
+
+    Every exponent takes its ``smallest_k`` rung from 16 over ``power_tail``;
+    the first rung is tried here and the ladder walked only past it.  The
+    exponents on one rung are the rows of one np.power block, and each row
+    gets the value and bound ``_certify`` gives it, formed with numpy's
+    exactly rounded + and *: the terms are positive, so the absolute sum is
+    the sum, and adding the zero offset changes no bit.
     """
     ps = [float(p) for p in ps]
     if any(p <= 1.0 for p in ps):
@@ -171,33 +187,35 @@ def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResul
     if a <= 0.0:
         raise ValueError("shift must be positive")
     tol, max_k = policy.tol, policy.max_k
-    rungs: dict[int, list[int]] = {}
-    # per exponent: its (K, estimate, bound), then its result or refusal
-    out: list = [None] * len(ps)
+    target, k0 = 0.5 * tol, min(16, max_k)
+    ests, bounds, terms = [0.0] * len(ps), [0.0] * len(ps), [k0] * len(ps)
+    errors, rungs = {}, {}
     for i, p in enumerate(ps):
-        try:
-            out[i] = smallest_k(partial(power_tail, p, a), 0.5 * tol, 16, max_k)
-        except TruncationError as exc:
-            out[i] = exc
-        else:
-            rungs.setdefault(out[i][0], []).append(i)
+        est, bound = power_tail(p, a, k0)
+        k = k0
+        if not bound <= target:
+            try:
+                k, est, bound = smallest_k(partial(power_tail, p, a), target, k0, max_k)
+            except TruncationError as exc:
+                errors[i] = exc
+                continue
+        ests[i], bounds[i], terms[i] = est, bound, k
+        rungs.setdefault(k, []).append(i)
+    exps, ests, bounds = -np.array(ps), np.array(ests), np.array(bounds)
+    values, totals = np.zeros(len(ps)), bounds.copy()
     for k, rows in rungs.items():
-        base = np.arange(k, dtype=float)[None, :] + a
+        base, rows = np.arange(k, dtype=float) + a, np.array(rows)
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
-            for i, head_sum, abs_sum in zip(chunk, np.sum(block, axis=1).tolist(),
-                                            np.sum(np.abs(block), axis=1).tolist()):
-                _, est, bound = out[i]
-                try:
-                    out[i] = _certify(head_sum, abs_sum, est, bound, k, tol, None)
-                except AccuracyError as exc:
-                    out[i] = exc
-    for r in out:
-        if isinstance(r, Exception):
-            raise r
-    return out
+            idx = rows[lo:lo + step]
+            head = np.power(base, exps[idx, None]).sum(axis=1)
+            values[idx] = head + ests[idx]
+            totals[idx] = bounds[idx] + _roundoff_allowance(head, k)
+    for i in np.flatnonzero(~(totals <= tol)).tolist():
+        errors[i] = _over_tol(float(totals[i]), float(bounds[i]), tol)
+    if errors:
+        raise errors[min(errors)]
+    return values.tolist(), totals.tolist(), terms
 
 
 def shifted_power_sum(p: float, a: float, policy: TruncationPolicy) -> EvalResult:

@@ -17,8 +17,8 @@ expands (u^2 - rho^2)^(-s) = u^(-2s) sum_j C(s+j-1, j) (rho/u)^(2j), whose
 truncation error is controlled by a geometric-ratio bound.
 
 ``closed_form_Z`` reduces Z to Riemann zeta values for n <= 4, one term
-per coefficient of the multiplicity polynomial, all from one
-``shifted_power_sums`` call; a bound over tol raises.  Note for n = 3: the
+per coefficient of the multiplicity polynomial, all rows of one
+``truncation._power_rows`` call; a bound over tol raises.  Note for n = 3: the
 reduction often quoted as zeta_R(2s-1) - 1 does not match the defining
 series; the series is
 sum_{k>=1} (k+1)^2 (k+1)^(-2s) = zeta_R(2s-2) - 1, and that is what is
@@ -45,10 +45,10 @@ from .truncation import (
     AccuracyError,
     EvalResult,
     TruncationPolicy,
+    _power_rows,
     certified_sum,
     power_tail,
     shifted_power_sum,
-    shifted_power_sums,
 )
 
 _JMAX = 4  # binomial expansion depth for the unshifted tail
@@ -182,14 +182,14 @@ def _closed_form_terms(s: float, n: int, tol: float) -> EvalResult:
     rho = (n - 1) / 2.0
     value, bound, terms = 0.0, 0.0, 0
     monomials = [(m, a_m) for m, a_m in enumerate(mult_poly_coeffs(n)) if a_m != 0.0]
-    zeta_r = shifted_power_sums([2.0 * s - m for m, _ in monomials], 1.0, _TIGHT)
-    for (m, a_m), z in zip(monomials, zeta_r):
+    rows = _power_rows([2.0 * s - m for m, _ in monomials], 1.0, _TIGHT)
+    for (m, a_m), z, z_bound, z_terms in zip(monomials, *rows):
         p = 2.0 * s - m
         scale = math.pow(2.0, p) - 1.0 if n % 2 == 0 else 1.0
         first = sum(math.pow(rho - i, -p) for i in range(math.ceil(rho)))
-        value += a_m * (scale * z.value - first)
-        bound += abs(a_m) * scale * z.tail_bound
-        terms += z.terms_used
+        value += a_m * (scale * z - first)
+        bound += abs(a_m) * scale * z_bound
+        terms += z_terms
     if not bound <= tol:
         raise AccuracyError(f"certified bound {bound:.3e} exceeds tol {tol:.3e}")
     return EvalResult(value, terms, bound)

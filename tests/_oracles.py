@@ -6,7 +6,8 @@ multiplicities, a rational expansion of the multiplicity in the shifted
 variable u = k + (n-1)/2 that turns both sphere zetas into short
 combinations of Hurwitz values at 40-digit working precision, and exact
 Rodrigues-formula Legendre polynomials.  None of it shares a code path
-with the library.
+with the library, except the former forms of two library loops at the end,
+kept as bit-for-bit references for their faster replacements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 DPS = 40
 
@@ -193,3 +195,67 @@ def tail_bracket(p: float, a: float, k_next: int) -> tuple[float, float]:
     lo = (k_next + a) ** (1.0 - p) / (p - 1.0)
     hi = (k_next - 1 + a) ** (1.0 - p) / (p - 1.0)
     return lo, hi
+
+
+def chunked_recurrence(n: int, t: float, kmax: int) -> list[float]:
+    """[r_0, ..., r_kmax] of the normalized Gegenbauer recurrence for n >= 2,
+    by the library's former loop: the factors 2j + n - 3, j - 1 and j + n - 2
+    come from numpy per 1024-step chunk, and (2j + n - 3) t is rounded first."""
+    r, prev, cur = [1.0, t], 1.0, t
+    for lo in range(2, kmax + 1, 1024):
+        j = np.arange(lo, min(lo + 1024, kmax + 1))
+        for a, b, c in zip(((2 * j + n - 3) * t).tolist(), (j - 1.0).tolist(),
+                           (j + n - 2.0).tolist()):
+            prev, cur = cur, (a * cur - b * prev) / c
+            r.append(cur)
+    return r[:kmax + 1]
+
+
+def per_exponent_power_sums(ps, a: float, policy) -> list:
+    """The library's former ``shifted_power_sums``: every exponent walks
+    ``smallest_k`` through a ``power_tail`` partial, and every row of a rung's
+    np.power block is certified by its own ``_certify`` call.  Returns the
+    EvalResults, or raises what the first failing exponent raises."""
+    from functools import partial
+
+    from spherezeta.truncation import (
+        _BLOCK_ENTRIES,
+        AccuracyError,
+        TruncationError,
+        _certify,
+        power_tail,
+        smallest_k,
+    )
+
+    ps = [float(p) for p in ps]
+    if any(p <= 1.0 for p in ps):
+        raise ValueError("exponent must exceed 1 for convergence")
+    if a <= 0.0:
+        raise ValueError("shift must be positive")
+    tol, max_k = policy.tol, policy.max_k
+    rungs: dict[int, list[int]] = {}
+    out: list = [None] * len(ps)
+    for i, p in enumerate(ps):
+        try:
+            out[i] = smallest_k(partial(power_tail, p, a), 0.5 * tol, 16, max_k)
+        except TruncationError as exc:
+            out[i] = exc
+        else:
+            rungs.setdefault(out[i][0], []).append(i)
+    for k, rows in rungs.items():
+        base = np.arange(k, dtype=float)[None, :] + a
+        step = max(1, _BLOCK_ENTRIES // k)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
+            for i, head_sum, abs_sum in zip(chunk, np.sum(block, axis=1).tolist(),
+                                            np.sum(np.abs(block), axis=1).tolist()):
+                _, est, bound = out[i]
+                try:
+                    out[i] = _certify(head_sum, abs_sum, est, bound, k, tol, None)
+                except AccuracyError as exc:
+                    out[i] = exc
+    for r in out:
+        if isinstance(r, Exception):
+            raise r
+    return out

@@ -524,6 +524,20 @@ def test_heat_trace_is_its_certified_sum_form(n):
                     == _trace_outcome(_certified_sum_trace, t, n, pol))
 
 
+@pytest.mark.parametrize("n", [1, 300, 340, 342])
+@pytest.mark.parametrize("t", [1e300, 1e308, 1.7e308, math.inf])
+def test_heat_at_huge_times_is_the_constant_mode(n, t):
+    # every excited mode has decayed to 0.0: the trace is 1 and the kernel
+    # 1/V_n, with no log of 0 in the tail bound and no overflow in -lambda t
+    assert heat_trace(t, n).value == 1.0
+    vol = sphere_spec(n).volume
+    r = heat_kernel(t, q(n, 0.5, TruncationPolicy(tol=1e-6 / vol)))
+    assert r.value == 1.0 / vol
+    for k_last in (8, 100):
+        bound = _heat_tail_bound(n, t, k_last)
+        assert bound == 0.0 if t == math.inf else 0.0 <= bound <= 1e-300
+
+
 def test_a_refusal_raises_again_at_every_angle():
     kernels._zonal_rung.cache_clear()
     tiny = TruncationPolicy(max_k=100, tol=1e-10)
@@ -550,9 +564,9 @@ def test_a_refusal_raises_again_at_every_angle():
 
 
 def test_kept_decay_vectors_give_the_values_of_a_cleared_store():
-    # each rung keeps decay(lambda_k) for k = 1..K: a sweep with the store
-    # warm gives the bits of calls made with it cleared, and the kept vector
-    # is a read-only array of its own, no view into the spectral arrays
+    # each rung keeps decay(lambda_k) and d_k for k = 1..K: a sweep with the
+    # store warm gives the bits of calls made with it cleared, and each kept
+    # vector is a read-only array of its own, no view into the spectral arrays
     pol = TruncationPolicy(tol=1e-9)
     profiles = [(heat_kernel, 2e-3), (heat_kernel, 0.2), (zeta_kernel, 4.25)]
     calls = [(fn, x, q(6, cg, pol)) for cg in (0.3, -1.0, 0.8, 1.0) for fn, x in profiles]
@@ -566,12 +580,16 @@ def test_kept_decay_vectors_give_the_values_of_a_cleared_store():
     for tail, decay, x, k_min in (
             (kernels._heat_tail_bound, kernels._heat_decay, 2e-3, _heat_k_min(6, 2e-3)),
             (kernels._zeta_tail, kernels._zeta_decay, 4.25, 8)):
-        k, _, dec = kernels._zonal_rung(tail, decay, 6, x, sphere_spec(6).volume, pol, k_min)
-        assert dec.tobytes() == decay(spectrum._spectral_range(6, 1, k)[0], x).tobytes()
-        assert not dec.flags.writeable
-        with pytest.raises(ValueError):
-            dec[0] = 1.0
-        assert not any(np.shares_memory(dec, a) for a in spectrum._last_arrays[1])
+        k, _, dec, d = kernels._zonal_rung(tail, decay, 6, x, sphere_spec(6).volume, pol,
+                                           k_min)
+        lam, _, want_d = spectrum._spectral_range(6, 1, k)
+        assert dec.tobytes() == decay(lam, x).tobytes()
+        assert d.tobytes() == want_d.tobytes()
+        for kept in (dec, d):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
+            assert not any(np.shares_memory(kept, a) for a in spectrum._last_arrays[1])
     assert kernels._zonal_rung.cache_info().currsize == len(profiles)
 
 

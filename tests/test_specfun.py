@@ -18,6 +18,7 @@ from spherezeta.specfun import (
 )
 from spherezeta.truncation import AccuracyError, TruncationError, TruncationPolicy
 from _oracles import (
+    chunked_recurrence,
     legendre_ode_residual,
     legendre_rodrigues_oracle,
     ref_hurwitz,
@@ -220,6 +221,48 @@ def test_gegenbauer_tables_match_a_fresh_recurrence(calls):
     for n, t, kmax in calls:
         got = gegenbauer_ratio_series(n, t, kmax).tolist()
         assert [x.hex() for x in got] == [x.hex() for x in _fresh_recurrence(n, t, kmax)]
+
+
+_CAP = specfun._FACTOR_CAP
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 7, 40, 342]),
+                          st.sampled_from([0.999, -0.999, -0.3, 0.0, 0.91]),
+                          st.one_of(st.integers(0, 3000), st.integers(_CAP - 400, _CAP + 400),
+                                    st.integers((1 << 17) - 3, (1 << 17) + 2100))),
+                min_size=1, max_size=6))
+def test_gegenbauer_tables_match_the_chunked_loop(calls):
+    # interleaved angles whose K crosses the factor store's cap and 2^17: a
+    # table from the store, from chunks past it, continued or cut from a kept
+    # one has the bits of the former chunked loop
+    for n, t, kmax in calls:
+        got = gegenbauer_ratio_series(n, t, kmax)
+        assert got.tobytes() == np.array(chunked_recurrence(n, t, kmax)).tobytes()
+
+
+def test_a_table_grown_across_the_factor_cap_keeps_its_bits():
+    for n in (2, 342):
+        for kmax in (5, _CAP - n, _CAP - n + 2, _CAP + 1500, (1 << 17) + 9):
+            got = gegenbauer_ratio_series(n, -0.3, kmax)
+            assert got.tobytes() == np.array(chunked_recurrence(n, -0.3, kmax)).tobytes()
+            assert len(specfun._float_ints) <= _CAP
+
+
+def test_factor_store_stays_bounded():
+    # a table at the Mellin route's reach, K = 2^21 on S^2, is built in chunks
+    # past the store; the store keeps at most its cap of Python floats
+    r = gegenbauer_ratio_series(2, 0.37, 1 << 21)
+    assert len(r) == (1 << 21) + 1 and np.all(np.abs(r) <= 1.0)
+    assert 0 < len(specfun._float_ints) <= _CAP
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_diagonal_table_is_fresh_and_writable(t):
+    first = gegenbauer_ratio_series(5, t, 40)
+    assert first.flags.writeable and first.flags.owndata
+    first[:] = 0.0
+    assert gegenbauer_ratio_series(5, t, 40).tolist() == [t ** k for k in range(41)]
 
 
 def test_gegenbauer_series_is_the_callers_own():

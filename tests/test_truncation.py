@@ -21,7 +21,7 @@ from spherezeta.truncation import (
     shifted_power_sums,
     smallest_k,
 )
-from _oracles import ref_hurwitz
+from _oracles import per_exponent_power_sums, ref_hurwitz
 
 
 def test_policy_validation():
@@ -235,6 +235,63 @@ def test_power_sums_match_single_sums_bit_for_bit(s, count, a, tol, max_k):
             assert (type(exc), str(exc)) == w
         else:
             assert (r.value, r.terms_used, r.tail_bound) == w
+
+
+def _rows_outcome(fn, *args):
+    try:
+        return [(r.value, r.terms_used, r.tail_bound) for r in fn(*args)]
+    except (TruncationError, AccuracyError) as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_rows(ps, a, policy):
+    # the row core's (values, bounds, terms) from the former per-exponent path
+    rows = per_exponent_power_sums(ps, a, policy)
+    return ([r.value for r in rows], [r.tail_bound for r in rows],
+            [r.terms_used for r in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p0=st.floats(1.01, 12.0),
+    count=st.integers(1, 90),
+    a=st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-13, 3e-15, 1e-15, 4e-16]),
+    max_k=st.sampled_from([1, 5, 15, 16, 17, 64, 1024, 400_000]),
+)
+def test_power_sums_match_the_per_exponent_path(p0, count, a, tol, max_k):
+    # values, bounds, terms, and the refusal's type and message
+    ps = [p0 + 0.5 * m for m in range(count)] + [p0]
+    policy = TruncationPolicy(max_k=max_k, tol=tol)
+    assert (_rows_outcome(shifted_power_sums, ps, a, policy)
+            == _rows_outcome(per_exponent_power_sums, ps, a, policy))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.floats(1.001, 80.0), rho=st.floats(0.001, 0.999),
+       m_max=st.sampled_from([0, 1, 5, 40, 80, 200]))
+def test_binomial_hurwitz_matches_the_per_exponent_path(s, rho, m_max):
+    got = _outcome(specfun.hurwitz_via_binomial, s, rho, m_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_power_rows", _oracle_rows)
+        assert got == _outcome(specfun.hurwitz_via_binomial, s, rho, m_max)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_forms_match_the_per_exponent_path(monkeypatch, n):
+    ss = [n / 2.0 + x for x in (0.51, 0.6, 1.0, 2.25, 5.0, 8.0, 12.0, 30.0, 120.0)]
+    got = [(_outcome(zeta.closed_form_Z, s, n),
+            _outcome(zeta._closed_form_terms, s, n, 1e-6)) for s in ss]
+    monkeypatch.setattr(zeta, "_power_rows", _oracle_rows)
+    assert got == [(_outcome(zeta.closed_form_Z, s, n),
+                    _outcome(zeta._closed_form_terms, s, n, 1e-6)) for s in ss]
 
 
 @pytest.mark.parametrize("ps,a,policy,error", [
