@@ -177,9 +177,9 @@ def _power_rows(ps, a: float, policy: TruncationPolicy) -> tuple[list, list, lis
     Every exponent takes its ``smallest_k`` rung from 16 over ``power_tail``;
     the first rung is tried here and the ladder walked only past it.  The
     exponents on one rung are the rows of one np.power block, and each row
-    gets the value and bound ``_certify`` gives it, formed with numpy's
-    exactly rounded + and *: the terms are positive, so the absolute sum is
-    the sum, and adding the zero offset changes no bit.
+    gets the value and bound ``_certify`` gives it, by the same float
+    operations without building a result: the terms are positive, so the
+    absolute sum is the sum, and adding the zero offset changes no bit.
     """
     ps = [float(p) for p in ps]
     if any(p <= 1.0 for p in ps):
@@ -201,21 +201,24 @@ def _power_rows(ps, a: float, policy: TruncationPolicy) -> tuple[list, list, lis
                 continue
         ests[i], bounds[i], terms[i] = est, bound, k
         rungs.setdefault(k, []).append(i)
-    exps, ests, bounds = -np.array(ps), np.array(ests), np.array(bounds)
-    values, totals = np.zeros(len(ps)), bounds.copy()
+    values = [0.0] * len(ps)
     for k, rows in rungs.items():
-        base, rows = np.arange(k, dtype=float) + a, np.array(rows)
+        base = np.arange(k, dtype=float)[None, :] + a
+        # the allowance is its factor (log2 K + 2) eps times the sum
+        per_unit = _roundoff_allowance(1.0, k)
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
-            idx = rows[lo:lo + step]
-            head = np.power(base, exps[idx, None]).sum(axis=1)
-            values[idx] = head + ests[idx]
-            totals[idx] = bounds[idx] + _roundoff_allowance(head, k)
-    for i in np.flatnonzero(~(totals <= tol)).tolist():
-        errors[i] = _over_tol(float(totals[i]), float(bounds[i]), tol)
+            chunk = rows[lo:lo + step]
+            block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
+            for i, head in zip(chunk, block.sum(axis=1).tolist()):
+                total = bounds[i] + per_unit * head
+                if total <= tol:
+                    values[i], bounds[i] = head + ests[i], total
+                else:
+                    errors[i] = _over_tol(total, bounds[i], tol)
     if errors:
         raise errors[min(errors)]
-    return values.tolist(), totals.tolist(), terms
+    return values, bounds, terms
 
 
 def shifted_power_sum(p: float, a: float, policy: TruncationPolicy) -> EvalResult:
