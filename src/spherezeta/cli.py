@@ -7,7 +7,8 @@ matrix Kato checks, and raw special functions.
 
 Records are emitted as JSON (one object per line) or CSV; every numeric
 record carries its certified error field, floats are printed with 17
-significant digits so they round-trip exactly, and output is byte-stable
+significant digits so they round-trip exactly (a non-finite float, such as
+``--t inf``, is null in JSON and inf or nan in CSV), and output is byte-stable
 for a fixed (argv, seed).  Exit codes: 0 on success, 2 when a checked
 inequality fails, 1 on usage or domain errors.
 
@@ -58,10 +59,17 @@ def _fmt(v) -> str:
     return json.dumps(v)
 
 
+def _json_value(v) -> str:
+    # JSON has no inf or nan (json.loads reads only its own extension)
+    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+        return "null"
+    return _fmt(v)
+
+
 def _emit(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
-            body = ", ".join(f"{json.dumps(k)}: {_fmt(v)}" for k, v in rec.items())
+            body = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in rec.items())
             out.write("{" + body + "}\n")
         return
     if fmt == "csv":

@@ -21,28 +21,36 @@ at fourth order in the step.  sgn acts entrywise as conj(psi)/|psi| with
 sgn(0) = 0.
 
 Each operator takes its eigendecomposition L = U diag(w) U^T once, on
-first use, and keeps it (``SymmetricOperator.eigh``); semigroups and the
-X side of the Duhamel integral read it.  Named graphs have it in closed
-form: real Fourier modes with eigenvalues 4 sin^2(pi k/m) for the cycle,
-the constant vector and a Helmert basis with eigenvalue m for K_m (Chung,
-Spectral Graph Theory, 1997, sec. 1.2); other operators call LAPACK.
-The trace check needs only eigenvalues (``SymmetricOperator.spectrum``),
-which are eigvalsh's for a LAPACK operator whether or not eigh was read, so
-an operator kept across calls gives the same verdicts in any call order.
-Semigroups are re-symmetrized exactly.
+first use, and keeps it (``SymmetricOperator.eigh``); the positivity check,
+``semigroup`` and the X side of the Duhamel integral read it.  Named graphs
+have it in closed form: real Fourier modes with eigenvalues 4 sin^2(pi k/m)
+for the cycle, the constant vector and a Helmert basis with eigenvalue m
+for K_m (Chung, Spectral Graph Theory, 1997, sec. 1.2); other operators
+call LAPACK.  The trace check needs only eigenvalues
+(``SymmetricOperator.spectrum``): a named graph's closed-form ones, the
+very array its eigh reads, with no eigenvector built; eigvalsh's for a
+LAPACK operator whether or not eigh was read, so an operator kept across
+calls gives the same verdicts in any call order.
 
 A matrix from outside (``symmetric_operator``) is validated once: square,
 nonempty, real, finite and exactly symmetric.  The graph builders and
 ``semigroup`` construct ``SymmetricOperator`` directly, since their output
-is symmetric by construction; a semigroup is still refused when it is not
-finite, which a computed eigenvalue below zero can cause at a large t.
-Every operator keeps its entries read-only and answers once whether it is
-a graph Laplacian (``SymmetricOperator.is_laplacian``).
+is symmetric by construction.  Every operator keeps its entries read-only
+and answers once whether it is a graph Laplacian
+(``SymmetricOperator.is_laplacian``); a builder's graph knows it without a
+test.
 
 The pointwise, pairing and positivity checks take one finite state of
 length m or an m x T block of them as columns, and pairing a real, finite,
-nonnegative phi of that shape; a block is pushed through L or e^{-tL} by a
-single real matrix product on [Re psi | Im psi | r].
+nonnegative phi of that shape.  A block is pushed through L by a single
+real matrix product on [Re psi | Im psi | r].  The positivity check never
+forms e^{-tL}: it pushes [Re psi | Im psi | |psi|] (one state or a block)
+through U (e^{-tw} o (U^T X)), two products of O(m^2 T) for T states in
+place of the O(m^3) matrix.  e^{-tL} is refused when it is not finite,
+which a computed eigenvalue below zero can cause at a large t, and so is a
+product that overflows; ``semigroup``
+forms the matrix, re-symmetrized exactly, for ``commute_residual`` and
+callers of the API.
 
 The Simpson sum  sum_j omega_j e^{-(t-s_j)H} Y e^{-s_j X},  H = X + Y, is
 collapsed into the two eigenbases:  with M[a,b] = sum_j omega_j
@@ -70,8 +78,9 @@ from .spectrum import _require_int
 class SymmetricOperator:
     dim: int
     entries: np.ndarray
-    # (w, u) of a named graph, built on the first read of eigh
-    closed_eigh: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
+    # a named graph's closed form: builders of its eigenvalues, called on the
+    # first read of spectrum, and of its eigenvectors, on the first read of eigh
+    closed_eigh: tuple[Callable[[], np.ndarray], Callable[[], np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,26 +89,28 @@ class SymmetricOperator:
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, u) with entries = u diag(w) u^T, w ascending; computed once."""
-        w, u = self.closed_eigh() if self.closed_eigh else np.linalg.eigh(self.entries)
-        w.setflags(write=False)
+        if self.closed_eigh:
+            w, u = self.spectrum, self.closed_eigh[1]()
+        else:
+            w, u = np.linalg.eigh(self.entries)
+            w.setflags(write=False)
         u.setflags(write=False)
         return w, u
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, computed once: closed-form for a named
-        graph, else eigvalsh's, never eigh's (they differ in the last bits),
-        so the values do not depend on whether eigh was read first."""
-        if self.closed_eigh:
-            return self.eigh[0]
-        w = np.linalg.eigvalsh(self.entries)
+        """Ascending eigenvalues, computed once: for a named graph the closed
+        form, the very array eigh reads, without building eigenvectors; else
+        eigvalsh's, never eigh's (they differ in the last bits), so the values
+        do not depend on whether eigh was read first."""
+        w = self.closed_eigh[0]() if self.closed_eigh else np.linalg.eigvalsh(self.entries)
         w.setflags(write=False)
         return w
 
     @cached_property
     def is_laplacian(self) -> bool:
         """Nonpositive off-diagonal entries, the class the pointwise bound
-        needs; computed once."""
+        needs; computed once, and known without a test for a built graph."""
         off = self.entries - np.diag(np.diag(self.entries))
         return bool(np.all(off <= 0.0))
 
@@ -178,19 +189,33 @@ def potential(diagonal) -> Potential:
     return Potential(dim=diag.size, diagonal=diag)
 
 
+def _graph(m: int, mat: np.ndarray, closed_eigh=None) -> SymmetricOperator:
+    """A builder's Laplacian: its class is known by construction, so it is
+    stored where ``is_laplacian`` keeps its answer instead of being tested."""
+    op = SymmetricOperator(m, mat, closed_eigh)
+    op.__dict__["is_laplacian"] = True
+    return op
+
+
 def cycle_laplacian(m: int) -> SymmetricOperator:
     """Laplacian of the m-cycle: 2 on the diagonal, -1 to both neighbours."""
     m = _require_int(m, 3, "cycle needs at least 3 vertices")
-    mat = 2.0 * np.eye(m)
+    mat = np.zeros((m, m))
+    mat.flat[::m + 1] = 2.0
     idx = np.arange(m)
     mat[idx, (idx + 1) % m] = -1.0
     mat[idx, (idx - 1) % m] = -1.0
-    return SymmetricOperator(m, mat, partial(_cycle_eigh, m))
+    return _graph(m, mat, (partial(_cycle_spectrum, m), partial(_cycle_vectors, m)))
 
 
-def _cycle_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_spectrum(m: int) -> np.ndarray:
+    """4 sin^2(pi k/m) for the modes of _cycle_vectors, ascending."""
+    return 4.0 * np.sin(np.pi * ((np.arange(m) + 1) // 2) / m) ** 2
+
+
+def _cycle_vectors(m: int) -> np.ndarray:
     """Real Fourier modes 1/sqrt(m); sqrt(2/m) cos, sin of 2 pi k j/m for
-    0 < k < m/2; (-1)^j/sqrt(m) for even m; eigenvalues 4 sin^2(pi k/m)."""
+    0 < k < m/2; (-1)^j/sqrt(m) for even m."""
     j, k = np.arange(m), np.arange(1, (m + 1) // 2)
     # k j mod m is exact, so one cos/sin table serves every mode
     wave = (math.sqrt(2.0 / m) * np.exp(2j * np.pi * j / m))[np.outer(j, k) % m]
@@ -199,26 +224,34 @@ def _cycle_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
     u[:, 1:2 * k.size + 1:2], u[:, 2:2 * k.size + 1:2] = wave.real, wave.imag
     if m % 2 == 0:
         u[:, -1] = (1 - 2 * (j % 2)) / math.sqrt(m)
-    return 4.0 * np.sin(np.pi * ((j + 1) // 2) / m) ** 2, u
+    return u
 
 
 def complete_laplacian(m: int) -> SymmetricOperator:
-    """Laplacian of the complete graph K_m."""
+    """Laplacian of the complete graph K_m: m - 1 on the diagonal, -1 elsewhere."""
     m = _require_int(m, 2, "complete graph needs at least 2 vertices")
-    mat = m * np.eye(m) - np.ones((m, m))
-    return SymmetricOperator(m, mat, partial(_complete_eigh, m))
+    mat = np.full((m, m), -1.0)
+    mat.flat[::m + 1] = m - 1.0
+    return _graph(m, mat, (partial(_complete_spectrum, m), partial(_complete_vectors, m)))
 
 
-def _complete_eigh(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constant vector (eigenvalue 0), then the Helmert columns
-    (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)), each with eigenvalue m."""
+def _complete_spectrum(m: int) -> np.ndarray:
+    """0 for the constant vector, then m for each Helmert column."""
+    w = np.full(m, float(m))
+    w[0] = 0.0
+    return w
+
+
+def _complete_vectors(m: int) -> np.ndarray:
+    """The constant vector, then the Helmert columns
+    (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1))."""
     k = np.arange(1, m)
     c = 1.0 / np.sqrt(k * (k + 1.0))
     u = np.empty((m, m))
     u[:, 0] = 1.0 / math.sqrt(m)
     u[:, 1:] = np.triu(np.broadcast_to(c, (m, m - 1)))
     u[k, k] = -k * c
-    return np.concatenate(([0.0], np.full(m - 1, float(m)))), u
+    return u
 
 
 def random_graph_laplacian(m: int, p: float, seed: int) -> SymmetricOperator:
@@ -237,7 +270,7 @@ def random_graph_laplacian(m: int, p: float, seed: int) -> SymmetricOperator:
     rows, cols = np.triu_indices(m, k=2)
     hit = rng.random(rows.size) < p
     adj[rows[hit], cols[hit]] = adj[cols[hit], rows[hit]] = 1.0
-    return SymmetricOperator(m, np.diag(adj.sum(axis=1)) - adj)
+    return _graph(m, np.diag(adj.sum(axis=1)) - adj)
 
 
 def is_graph_laplacian(op: SymmetricOperator) -> bool:
@@ -283,9 +316,16 @@ def _apply(mat: np.ndarray, v: np.ndarray, r: np.ndarray):
     """
     if v.ndim == 1:
         return mat @ v, mat @ r
-    k = v.shape[1]
-    out = mat @ np.hstack([v.real, v.imag, r])
-    return out[:, :k] + 1j * out[:, k:2 * k], out[:, 2 * k:]
+    return _stacked(mat.__matmul__, v, r)
+
+
+def _stacked(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, r: np.ndarray):
+    """(A v, A r) for complex v and real r of the same shape, from one call of
+    ``apply``, which maps a real m x k block to A times it, on [Re v | Im v | r]."""
+    k = 1 if v.ndim == 1 else v.shape[1]
+    out = apply(np.column_stack([v.real, v.imag, r]))
+    return ((out[:, :k] + 1j * out[:, k:2 * k]).reshape(v.shape),
+            out[:, 2 * k:].reshape(v.shape))
 
 
 def _entrywise(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> EntrywiseReport:
@@ -341,20 +381,23 @@ def generator_pairing_check(op: SymmetricOperator, psi, phi,
                          slack=rhs - lhs, tol=tol)
 
 
-def semigroup(op: SymmetricOperator, t: float) -> SymmetricOperator:
-    """e^{-t L} by spectral calculus, re-symmetrized exactly.
+def _finite(values: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
+    """e^{-tw} or e^{-tL}, refused when not finite: a computed eigenvalue
+    w[0] below zero, exact or a rounding of a graph's zero mode, overflows
+    the exponential at a large t."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"e^(-tL) overflows at t = {t:.6g}: "
+                         f"L has the computed eigenvalue {w[0]:.3e} below zero")
+    return values
 
-    Refused when not finite: a computed eigenvalue below zero, exact or a
-    rounding of a graph's zero mode, overflows the exponential at a large t.
-    """
+
+def semigroup(op: SymmetricOperator, t: float) -> SymmetricOperator:
+    """e^{-t L} by spectral calculus, re-symmetrized exactly, and refused
+    when not finite (``_finite``)."""
     _require_nonneg(t, "time")
     w, u = op.eigh
     e = (u * np.exp(-t * w)) @ u.T
-    e = 0.5 * (e + e.T)
-    if not np.all(np.isfinite(e)):
-        raise ValueError(f"e^(-tL) overflows at t = {t:.6g}: "
-                         f"L has the computed eigenvalue {w[0]:.3e} below zero")
-    return SymmetricOperator(op.dim, e)
+    return SymmetricOperator(op.dim, _finite(0.5 * (e + e.T), t, w))
 
 
 def positivity_domination_check(op: SymmetricOperator, t: float, psi,
@@ -362,10 +405,18 @@ def positivity_domination_check(op: SymmetricOperator, t: float, psi,
     """Check |e^{-tL} psi| <= e^{-tL} |psi| entrywise.
 
     Positivity preservation of the semigroup is what makes this valid, so
-    the operator must again be of graph-Laplacian type.
+    the operator must again be of graph-Laplacian type.  e^{-tL} acts as
+    u (e^{-tw} (u^T x)) in L's kept eigenbasis, never formed as a matrix.
     """
     v = _states(op, psi, tol, "domination")
-    ev, e_abs = _apply(semigroup(op, t).entries, v, np.abs(v))
+    _require_nonneg(t, "time")
+    w, u = op.eigh
+    decay = _finite(np.exp(-t * w), t, w)[:, None]
+    ev, e_abs = _stacked(lambda x: u @ (decay * (u.T @ x)), v, np.abs(v))
+    # the products overflow for a state whose norm passes the float range,
+    # or for a finite e^{-tw} near it; a NaN slack would read as a pass
+    if not (np.all(np.isfinite(ev)) and np.all(np.isfinite(e_abs))):
+        raise ValueError(f"e^(-tL) psi overflows at t = {t:.6g}")
     return _entrywise(e_abs, np.abs(ev), tol)
 
 

@@ -6,8 +6,9 @@ multiplicities, a rational expansion of the multiplicity in the shifted
 variable u = k + (n-1)/2 that turns both sphere zetas into short
 combinations of Hurwitz values at 40-digit working precision, and exact
 Rodrigues-formula Legendre polynomials.  None of it shares a code path
-with the library, except the former forms of two library loops at the end,
-kept as bit-for-bit references for their faster replacements.
+with the library, except the former forms of two library loops and of the
+positivity check at the end, kept as references for their faster
+replacements.
 """
 
 from __future__ import annotations
@@ -259,3 +260,17 @@ def per_exponent_power_sums(ps, a: float, policy) -> list:
         if isinstance(r, Exception):
             raise r
     return out
+
+
+def formed_semigroup_positivity(op, t: float, psi, tol: float = 1e-12):
+    """The library's former ``positivity_domination_check``: e^{-tL} formed as
+    the m x m matrix (u e^{-tw}) u^T from L's kept eigh, re-symmetrized as
+    ``semigroup`` does, then applied to [Re psi | Im psi | |psi|] by one real
+    product.  Returns the EntrywiseReport."""
+    from spherezeta import kato
+
+    v = kato._states(op, psi, tol, "domination")
+    w, u = op.eigh
+    e = (u * np.exp(-t * w)) @ u.T
+    ev, e_abs = kato._apply(0.5 * (e + e.T), v, np.abs(v))
+    return kato._entrywise(e_abs, np.abs(ev), tol)

@@ -288,6 +288,33 @@ def test_csv_format(capsys):
     assert lines[1].split(",")[0] == "spectrum"
 
 
+def _strict_records(out):
+    # json.loads alone would accept Infinity and NaN, which no JSON reader must
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return [json.loads(line, parse_constant=refuse) for line in out.strip().splitlines()]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["heat-trace", "--n", "340", "--t", "inf"], "t"),
+    (["heat-trace", "--n", "2", "--t", "inf"], "t"),
+    (["kernel", "--kind", "heat", "--t", "inf", "--n", "3", "--cos-gamma", "0.5"], "t"),
+    (["kernel", "--kind", "heat", "--t", "inf", "--n", "1", "--cos-gamma", "1"], "t"),
+])
+def test_json_writes_a_nonfinite_float_as_null(capsys, argv, field):
+    code, out = run(capsys, argv)
+    assert code == 0
+    for rec in _strict_records(out):
+        assert rec[field] is None
+        assert all(v is None or not isinstance(v, float) or math.isfinite(v)
+                   for v in rec.values())
+    # CSV keeps the float's own spelling
+    code, out = run(capsys, argv + ["--format", "csv"])
+    header, row = out.strip().splitlines()
+    assert code == 0 and row.split(",")[header.split(",").index(field)] == "inf"
+
+
 def test_out_file(capsys, tmp_path):
     dest = tmp_path / "z.ndjson"
     code, _ = run(capsys, ["zeta", "--n", "2", "--s", "2",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import formed_semigroup_positivity
 
 from spherezeta import kato
 from spherezeta.kato import (
@@ -307,6 +308,16 @@ def test_semigroup_refuses_an_overflowing_exponential():
                 semigroup(op, t)
             with pytest.raises(ValueError, match=refusal):
                 positivity_domination_check(op, t, np.ones(op.dim))
+
+
+def test_positivity_refuses_an_overflowing_product():
+    # e^{-tw} finite but near the float range, and a state whose norm passes
+    # it: the products overflow, and a NaN slack must not read as a pass
+    for op, t, psi in ((symmetric_operator([[-1.0]]), 709.5, np.array([2.0])),
+                       (cycle_laplacian(8), 0.5, np.full((8, 2), 1e308))):
+        refusal = re.escape(f"e^(-tL) psi overflows at t = {t:g}")
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=refusal):
+            positivity_domination_check(op, t, psi)
 
 
 def test_positivity_domination_on_builders():
@@ -771,3 +782,92 @@ def test_pairing_refuses_a_nonfinite_test_vector(bad):
         generator_pairing_check(op, np.ones(5), phi)
     with pytest.raises(ValueError, match="phi must be finite and nonnegative"):
         generator_pairing_check(op, np.ones((5, 2)), np.stack([np.ones(5), phi], axis=1))
+
+
+def _positivity_cases():
+    for m in (8, 64, 256):
+        for make in (cycle_laplacian, complete_laplacian,
+                     lambda m: random_graph_laplacian(m, 0.1, seed=m)):
+            yield make(m)
+
+
+def test_positivity_matches_the_formed_semigroup(monkeypatch):
+    # the eigenbasis route and the former formed-matrix route differ only by
+    # rounding, of order m eps max|psi| per route (measured at most 0.22 m eps
+    # max|psi|): the bound below is 2 m eps max|psi|
+    def fail(*args, **kwargs):
+        raise AssertionError("the positivity check formed e^(-tL)")
+
+    monkeypatch.setattr(kato, "semigroup", fail)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(22)
+    for op in _positivity_cases():
+        m = op.dim
+        for t in (0.0, 0.5, 2.0):
+            for scale in (1.0, 1e2, 1e4):
+                for shape in ((m,), (m, 5)):
+                    psi = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                    bound = 2.0 * m * eps * float(np.max(np.abs(psi)))
+                    for tol in (1e-12, bound):
+                        new = positivity_domination_check(op, t, psi, tol)
+                        old = formed_semigroup_positivity(op, t, psi, tol)
+                        assert new.slack.shape == old.slack.shape == shape
+                        assert np.max(np.abs(new.slack - old.slack)) <= bound
+                        # a verdict is decided by rounding only where a slack
+                        # lies within the bound of -tol; none does here
+                        if abs(old.min_slack + tol) > bound:
+                            assert (new.ok, new.first_violation) == (old.ok, old.first_violation)
+                    # at tol = bound, past its own rounding, every state passes
+                    assert new.ok
+
+
+@pytest.mark.parametrize("builder, m",
+                         [(cycle_laplacian, m) for m in (3, 4, 5, 8, 255, 256, 512)]
+                         + [(complete_laplacian, m) for m in (2, 3, 8, 257, 512)])
+def test_named_spectrum_is_the_eigh_eigenvalues(builder, m):
+    spectrum_first, eigh_first = builder(m), builder(m)
+    w = spectrum_first.spectrum
+    assert "eigh" not in spectrum_first.__dict__  # no eigenvectors were built
+    assert spectrum_first.eigh[0] is w
+    assert eigh_first.eigh[0] is eigh_first.spectrum
+    assert w.tobytes() == eigh_first.spectrum.tobytes()
+    assert not w.flags.writeable
+
+
+@pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
+def test_trace_check_on_a_named_graph_builds_no_eigenvectors(monkeypatch, builder):
+    def fail(m):
+        raise AssertionError("an eigenvector matrix was built")
+
+    monkeypatch.setattr(kato, "_cycle_vectors", fail)
+    monkeypatch.setattr(kato, "_complete_vectors", fail)
+    op = builder(64)
+    assert trace_domination_check(op, potential(np.linspace(0.0, 1.0, 64)), 0.5).ok
+    assert "eigh" not in op.__dict__
+    with pytest.raises(AssertionError, match="eigenvector matrix"):
+        op.eigh
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 64, 257, 512])
+def test_named_graph_entries_keep_their_bits(m):
+    # the former builds: m eye - ones for K_m, 2 eye plus two -1 diagonals for C_m
+    assert complete_laplacian(m).entries.tobytes() == (m * np.eye(m) - np.ones((m, m))).tobytes()
+    if m >= 3:
+        mat = 2.0 * np.eye(m)
+        idx = np.arange(m)
+        mat[idx, (idx + 1) % m] = -1.0
+        mat[idx, (idx - 1) % m] = -1.0
+        assert cycle_laplacian(m).entries.tobytes() == mat.tobytes()
+
+
+def test_built_graphs_know_they_are_laplacians(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Laplacian class was tested")
+
+    graph = random_graph_laplacian(40, 0.2, seed=3)  # its build reads np.diag
+    monkeypatch.setattr(kato.np, "diag", fail)
+    for op in (cycle_laplacian(40), complete_laplacian(40), graph):
+        assert op.is_laplacian and is_graph_laplacian(op)
+        assert kato_pointwise_check(op, random_state(40, np.random.default_rng(4))).ok
+    with pytest.raises(AssertionError, match="class was tested"):
+        symmetric_operator(graph.entries).is_laplacian
