@@ -7,21 +7,13 @@ cos(gamma) = <x, y>, and are expanded in normalized Gegenbauer ratios r_k,
     zeta:  zeta_s(x, y)   = (1/V_n) sum_{k>=1} d_k lambda_k^(-s) r_k,
 
 with V_n the sphere volume.  Both sum d_k r_k / V_n, with the k = 0 heat
-term 1/V_n as the offset.  The heat trace Tr e^{t Delta} = V_n K_t(x, x) is
-the same sum on the diagonal, where every r_k is exactly 1, at volume 1.
-Tail certificates rest on |r_k| <= 1, so the K rung (``truncation.smallest_k``
-at tol/2), its truncation bound and the decay vector e^{-lambda_k t} or
-lambda_k^(-s), k = 1..K, depend on the kind, n, t or s, the volume and the
-policy, never on the angle: ``_zonal_rung`` keeps them, with its own copy of
-the multiplicities d_k, for the last few such profiles, and each angle sums
-its own head d_k r_k decay_k / vol to that K and is certified by
-``truncation._certify``.  These two steps, the one ladder and
-the one acceptance test, are the core every certified sum shares.  A refusal
-is never kept, so it raises again at every angle.  Of the tails, the heat
-family bounds the multiplicity by d_k(n) <= 2 (k+1)^(n-1) and closes with an
-incomplete-Gaussian integral; the zeta family uses the spectral zeta tail of
-``zeta``, built on the exact multiplicity polynomial with midpoint-corrected
-monomial tails.
+term 1/V_n as the offset, by one ``specfun._zonal_sum`` call each; the heat
+trace Tr e^{t Delta} = V_n K_t(x, x) is the same sum on the diagonal, where
+every r_k is exactly 1, at volume 1.  A tail's sign is unknown off the
+diagonal, so the kernel tails give estimate 0 and rest on |r_k| <= 1: the
+heat family bounds d_k(n) <= 2 (k+1)^(n-1) and closes with an
+incomplete-Gaussian integral; the zeta family takes the spectral zeta
+tail's estimate plus its error bound (``zeta``).
 
 ``mellin_zeta_kernel`` reproduces the zeta kernel from the heat kernel via
 
@@ -42,12 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import gegenbauer_ratio_series
+from .specfun import _zonal_sum, gegenbauer_ratio_series
 from .spectrum import _spectral_arrays, sphere_spec
 from .truncation import (
     _EPS,
@@ -55,11 +46,10 @@ from .truncation import (
     AccuracyError,
     EvalResult,
     TruncationPolicy,
-    _certify,
     _roundoff_allowance,
     smallest_k,
 )
-from .zeta import _require_exponent, _spectral_tail
+from .zeta import _require_exponent, _spectral_tail, _zeta_decay
 
 
 @dataclass(frozen=True)
@@ -123,61 +113,26 @@ def _heat_k_min(n: int, t: float) -> int:
     return max(8, math.ceil(min(math.sqrt((n - 1) / (2.0 * t)), 2.0**62)))
 
 
-def _zeta_tail(n: int, s: float, k_last: int) -> float:
-    """Bound on sum_{k > k_last} d_k lambda_k^(-s): the spectral zeta tail's
-    estimate plus its error bound."""
-    return sum(_spectral_tail(s, n, k_last))
+def _heat_tail(n: int, t: float, k_last: int) -> tuple[float, float]:
+    return 0.0, _heat_tail_bound(n, t, k_last)
 
 
-# One sweep visits the few profiles of one (n, t or s) at many angles, so a
-# handful of entries serve it; a pass over other profiles evicts them.
-_RUNG_ENTRIES = 8
+def _zeta_tail(n: int, s: float, k_last: int) -> tuple[float, float]:
+    # |sum_{k > k_last} d_k lambda_k^(-s) r_k| is at most the sum without r_k
+    return 0.0, sum(_spectral_tail(n, s, k_last))
 
 
-def _heat_decay(lam, t: float):
+def _heat_decay(lam, u, t: float):
     # lambda_k >= 1, so e^(-lambda_k t) is 0.0 in floats for every t past 746;
     # the cap keeps -lambda_k t finite there
     return np.exp(-lam * min(t, 1e3))
-
-
-def _zeta_decay(lam, s: float):
-    return np.power(lam, -s)
-
-
-@lru_cache(maxsize=_RUNG_ENTRIES)
-def _zonal_rung(tail, decay, n: int, x: float, vol: float, policy: TruncationPolicy,
-                k_min: int) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """(K, truncation bound, decay(lambda_k, x), d_k) for k = 1..K of a zonal
-    sum with tail bound tail(n, x, K), the bound over vol; independent of the
-    angle, so kept for the next one.  Both vectors are new read-only arrays,
-    no views into the spectral arrays, which the next n replaces.  A refusal
-    raises and is not kept, so it raises again at every angle."""
-    k, _, bound = smallest_k(lambda j: (0.0, tail(n, x, j) / vol), 0.5 * policy.tol,
-                             k_min, policy.max_k)
-    lam, _, d = _spectral_arrays(n, k)
-    dec, d = decay(lam, x), d.copy()
-    dec.setflags(write=False)
-    d.setflags(write=False)
-    return k, bound, dec, d
-
-
-def _zonal_sum(n: int, cos_gamma: float, policy: TruncationPolicy, decay, tail, x: float,
-               k_min: int, vol: float, offset: float | None = None) -> EvalResult:
-    """Certified (1/vol) [offset + sum_{k>=1} d_k r_k decay(lambda_k, x)] at
-    cos_gamma, where tail(n, x, K) bounds the unweighted sum past K (|r_k| <= 1)."""
-    k, bound, dec, d = _zonal_rung(tail, decay, n, x, vol, policy, k_min)
-    head = d * gegenbauer_ratio_series(n, cos_gamma, k)[1:]
-    head *= dec
-    head /= vol
-    return _certify(float(head.sum()), float(np.abs(head, out=head).sum()), 0.0, bound, k,
-                    policy.tol, None if offset is None else offset / vol)
 
 
 def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
     """Zonal heat kernel K_t at cos(gamma), certified to q.policy.tol."""
     if not (t > 0.0):
         raise ValueError("time t must be positive")
-    return _zonal_sum(q.n, q.cos_gamma, q.policy, _heat_decay, _heat_tail_bound, t,
+    return _zonal_sum(q.n, q.cos_gamma, q.policy, _heat_decay, _heat_tail, t,
                       _heat_k_min(q.n, t), sphere_spec(q.n).volume, 1.0)
 
 
@@ -195,7 +150,7 @@ def heat_trace(t: float, n: int,
     if not (t > 0.0):
         raise ValueError("time t must be positive")
     n = sphere_spec(n).n
-    return _zonal_sum(n, 1.0, policy, _heat_decay, _heat_tail_bound, t, _heat_k_min(n, t),
+    return _zonal_sum(n, 1.0, policy, _heat_decay, _heat_tail, t, _heat_k_min(n, t),
                       1.0, 1.0)
 
 

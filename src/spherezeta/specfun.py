@@ -12,7 +12,7 @@ zeta values through the binomial series
 
 truncated with an alternating-series remainder bound.  Its Riemann values
 zeta_R(2s+m), m = 0..m_max+1, are the rows of one ``truncation._power_rows``
-call, the core of ``shifted_power_sums``.
+call, the core of ``shifted_power_sum``.
 
 Gegenbauer ratios r_k = C_k^{alpha}(t) / C_k^{alpha}(1) with alpha =
 (n-1)/2 are generated by a three-term recurrence that is uniform in n >= 2;
@@ -26,15 +26,23 @@ of the plain loop; a table longer than the store reaches is built in chunks.
 On the diagonal and at the antipode, t = +-1, the table is r_k = t^k, which
 is what the recurrence gives there: it is built without it, fresh on every
 call, and returned without a copy.
+
+Every certified sphere series is one ``_zonal_sum`` over that table,
+(1/vol) [offset + sum_{k>=1} d_k r_k decay(lambda_k, k + rho, x)] at a heat
+time or exponent x: the kernels at volume V_n, and the heat trace and both
+zetas on the diagonal at volume 1.  ``_zonal_rung`` keeps what the angle
+never changes for the last few profiles: the K rung at tol/2, the tail's
+(estimate, bound) there, the decay vector and d_k.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import _require_dimension, _require_int
+from .spectrum import _require_dimension, _require_int, _spectral_arrays
 from .truncation import (
     _EPS,
     _TIGHT,
@@ -42,8 +50,10 @@ from .truncation import (
     EvalResult,
     TruncationError,
     TruncationPolicy,
+    _certify,
     _power_rows,
     shifted_power_sum,
+    smallest_k,
 )
 
 
@@ -190,3 +200,40 @@ def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
             r[lo:hi] = vals
     _last_table = (key, r)
     return r
+
+
+# One sweep visits the few profiles of one (n, t or s) at many angles, so a
+# handful of entries serve it; a pass over other profiles evicts them.
+_RUNG_ENTRIES = 8
+
+
+@lru_cache(maxsize=_RUNG_ENTRIES)
+def _zonal_rung(tail, decay, n: int, x: float, vol: float, policy: TruncationPolicy,
+                k_min: int) -> tuple[int, float, float, np.ndarray, np.ndarray]:
+    """(K, tail estimate, truncation bound, decay(lambda_k, k + rho, x), d_k),
+    k = 1..K, of the zonal sum whose tail past K is tail(n, x, K) = (estimate,
+    bound), over vol; kept for the next angle, keyed on the module-level tail
+    and decay.  Both vectors are new read-only arrays, no views into the
+    spectral arrays.  A refusal is not kept, so it raises again."""
+    def scaled(j):
+        est, bound = tail(n, x, j)
+        return est / vol, bound / vol
+
+    k, est, bound = smallest_k(scaled, 0.5 * policy.tol, k_min, policy.max_k)
+    lam, u, d = _spectral_arrays(n, k)
+    dec, d = decay(lam, u, x), d.copy()
+    dec.setflags(write=False)
+    d.setflags(write=False)
+    return k, est, bound, dec, d
+
+
+def _zonal_sum(n: int, cos_gamma: float, policy: TruncationPolicy, decay, tail, x: float,
+               k_min: int, vol: float, offset: float | None = None) -> EvalResult:
+    """Certified (1/vol) [offset + sum_{k>=1} d_k r_k decay(lambda_k, k + rho, x)]
+    at cos_gamma: the head to the rung's K plus the tail estimate."""
+    k, est, bound, dec, d = _zonal_rung(tail, decay, n, x, vol, policy, k_min)
+    head = d * gegenbauer_ratio_series(n, cos_gamma, k)[1:]
+    head *= dec
+    head /= vol
+    return _certify(float(head.sum()), float(np.abs(head, out=head).sum()), est, bound, k,
+                    policy.tol, None if offset is None else offset / vol)

@@ -12,14 +12,13 @@ the single K ladder k_min, 2 k_min, 4 k_min, ... up to max_k, evaluating the
 tail once per rung, until its bound meets a target, and returns that K with
 the tail's (estimate, bound).  ``_certify`` adds the roundoff allowance over
 the K head terms to the truncation bound and raises ``AccuracyError`` when
-that total exceeds tol.  ``certified_sum`` is the two in a row at target
-tol/2.  A caller whose tail does not depend on the terms, such as a kernel
-swept over angles, takes the rung once and certifies each sum on its own.
-``shifted_power_sums`` wraps a row core, ``_power_rows``: it takes one rung
-per exponent, sums the exponents that share a rung as the rows of one power
-block, and gives each row the value and bound ``_certify`` would give it,
-as plain (values, bounds, terms) lists that the binomial Hurwitz route and
-the closed forms read without building a result per exponent.
+that total exceeds tol.  The sphere series take the rung at target tol/2 in
+``specfun._zonal_sum`` and certify each sum on it.  ``_power_rows`` takes
+one rung per exponent, sums the exponents that share a rung as the rows of
+one power block, and gives each row the value and bound ``_certify`` would
+give it, as plain (values, bounds, terms) lists that ``shifted_power_sum``,
+the binomial Hurwitz route and the closed forms read without building a
+result per exponent.
 
 The workhorse tail is the midpoint-rule estimate for sums of decreasing
 convex terms f(k) = (k + a)^(-p):
@@ -84,7 +83,7 @@ class EvalResult:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-# entries of one power block of shifted_power_sums (a single row may exceed it)
+# entries of one power block of _power_rows (a single row may exceed it)
 _BLOCK_ENTRIES = 1 << 16
 # tight inner sums of the closed forms and the binomial Hurwitz route
 _TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
@@ -93,15 +92,19 @@ _TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 def power_tail(p: float, a: float, k_from: int) -> tuple[float, float]:
     """Midpoint estimate of sum_{k >= k_from} (k + a)^(-p) with error bound.
 
-    Requires p > 1 and k_from + a > 1/2 so the terms are positive,
-    decreasing and convex on the tail.  Returns (estimate, bound).
+    Requires a finite p > 1 and k_from + a > 1/2 so the terms are
+    positive, decreasing and convex on the tail.  Returns (estimate, bound).
     """
-    if p <= 1.0:
-        raise ValueError("power tail needs exponent p > 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"power tail needs a finite exponent p > 1, not p = {p!r}")
     z = k_from - 0.5 + a
     if z <= 0.0:
         raise ValueError("tail start must satisfy k_from + a > 1/2")
     est = z ** (1.0 - p) / (p - 1.0)
+    if z > 1.0 and p * (p + 1.0) == math.inf:
+        # p > 1.3e154 and log z >= eps, so z^(-p) < e^(-1e138): the bound is
+        # below the least double, where the formula gives inf * 0.0 = nan
+        return est, 0.0
     bound = (p * (p + 1.0) * z ** (-p - 2.0) + p * z ** (-p - 1.0)) / 24.0
     return est, bound
 
@@ -129,8 +132,9 @@ def smallest_k(tail, target: float, k_min: int, max_k: int) -> tuple[int, float,
 
 def _certify(head_sum: float, abs_sum: float, est: float, bound: float, k: int,
              tol: float, offset: float | None) -> EvalResult:
-    """The result of ``certified_sum`` from the sum and the absolute sum of
-    its K head terms."""
+    """Certified offset + head_sum + est, offset an exactly known leading term
+    (counted in terms_used); the bound adds the roundoff allowance over
+    abs_sum + |offset| to the truncation bound, and a total over tol raises."""
     lead = 0.0 if offset is None else offset
     total = bound + _roundoff_allowance(abs_sum + abs(lead), k)
     if not total <= tol:
@@ -143,43 +147,18 @@ def _over_tol(total: float, bound: float, tol: float) -> AccuracyError:
                          f"exceeds tol {tol:.3e}")
 
 
-def certified_sum(terms, tail, policy: TruncationPolicy, k_min: int,
-                  offset: float | None = None) -> EvalResult:
-    """Certified value of offset + sum(terms(K)) + the tail estimate.
-
-    terms(K) returns the first K terms and tail(K) an (estimate, bound)
-    pair for everything after them; K is the first rung of ``smallest_k``
-    whose bound is within tol/2.  offset is an exactly known leading term
-    (counted in terms_used).  The returned bound is the truncation bound plus
-    the roundoff allowance over sum|terms| + |offset|; if that total exceeds
-    tol, AccuracyError is raised.
-    """
-    k, est, bound = smallest_k(tail, 0.5 * policy.tol, k_min, policy.max_k)
-    head = terms(k)
-    return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
-                    policy.tol, offset)
-
-
-def shifted_power_sums(ps, a: float, policy: TruncationPolicy) -> list[EvalResult]:
-    """Certified sum_{k >= 0} (k + a)^(-p) for every p in ps (each p > 1), a > 0.
-
-    Each result equals what ``certified_sum`` gives for that exponent alone,
-    bit for bit (see ``_power_rows``).  A failure raises what the first
-    failing exponent, taken in order, raises on its own.
-    """
-    values, bounds, terms = _power_rows(ps, a, policy)
-    return list(map(EvalResult, values, terms, bounds))
-
-
 def _power_rows(ps, a: float, policy: TruncationPolicy) -> tuple[list, list, list]:
-    """(values, bounds, terms) of ``shifted_power_sums``, as Python numbers.
+    """Certified sum_{k >= 0} (k + a)^(-p), a > 0, for every p > 1 in ps, as
+    (values, bounds, terms) lists of Python numbers.
 
     Every exponent takes its ``smallest_k`` rung from 16 over ``power_tail``;
     the first rung is tried here and the ladder walked only past it.  The
     exponents on one rung are the rows of one np.power block, and each row
     gets the value and bound ``_certify`` gives it, by the same float
     operations without building a result: the terms are positive, so the
-    absolute sum is the sum, and adding the zero offset changes no bit.
+    absolute sum is the sum, and adding the zero offset changes no bit.  A
+    head that overflows is refused; a failure raises what the first failing
+    exponent, taken in order, raises on its own.
     """
     ps = [float(p) for p in ps]
     if any(p <= 1.0 for p in ps):
@@ -209,7 +188,8 @@ def _power_rows(ps, a: float, policy: TruncationPolicy) -> tuple[list, list, lis
         step = max(1, _BLOCK_ENTRIES // k)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
-            block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
+            with np.errstate(over="ignore"):
+                block = np.power(base, -np.array([ps[i] for i in chunk])[:, None])
             for i, head in zip(chunk, block.sum(axis=1).tolist()):
                 total = bounds[i] + per_unit * head
                 if total <= tol:
@@ -223,4 +203,5 @@ def _power_rows(ps, a: float, policy: TruncationPolicy) -> tuple[list, list, lis
 
 def shifted_power_sum(p: float, a: float, policy: TruncationPolicy) -> EvalResult:
     """Certified evaluation of sum_{k >= 0} (k + a)^(-p) for p > 1, a > 0."""
-    return shifted_power_sums([p], a, policy)[0]
+    values, bounds, terms = _power_rows([p], a, policy)
+    return EvalResult(values[0], terms[0], bounds[0])

@@ -10,10 +10,13 @@ lambda_k into the exact square (k + rho_n)^2, so Z is a multiplicity-
 weighted Hurwitz-type sum.  ``hurwitz_style_Z`` is the multiplicity-free
 cousin sum_{k>=0} (k + c)^(-2s) = zeta_H(2s, c).
 
-Tails are certified by decomposing d_k exactly as a polynomial in
-u = k + rho_n (see ``spectrum.mult_poly_coeffs``) and closing each monomial
-sum with the midpoint-integral correction; spectral_zeta additionally
-expands (u^2 - rho^2)^(-s) = u^(-2s) sum_j C(s+j-1, j) (rho/u)^(2j), whose
+Each is one ``specfun._zonal_sum`` from K = 16 on the diagonal, where every
+Gegenbauer ratio is 1, at volume 1 (spectral_zeta = V_n zeta_s(x, x)), in
+the kernels' store of rungs.  Tails are certified by decomposing d_k exactly
+as a polynomial in u = k + rho_n (see ``spectrum.mult_poly_coeffs``) and
+closing each monomial sum with the midpoint-integral correction, which is
+added to the value; spectral_zeta additionally expands
+(u^2 - rho^2)^(-s) = u^(-2s) sum_j C(s+j-1, j) (rho/u)^(2j), whose
 truncation error is controlled by a geometric-ratio bound.
 
 ``closed_form_Z`` reduces Z to Riemann zeta values for n <= 4, one term
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorize import partial_sum_domination
+from .specfun import _zonal_sum
 from .spectrum import (
     _require_int,
     _spectral_arrays,
@@ -46,7 +50,6 @@ from .truncation import (
     EvalResult,
     TruncationPolicy,
     _power_rows,
-    certified_sum,
     power_tail,
     shifted_power_sum,
 )
@@ -85,12 +88,12 @@ def _poly_tail(n: int, k_last: int, powers) -> tuple[float, float, float]:
     return est, bound, size
 
 
-def _regularized_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
+def _regularized_tail(n: int, s: float, k_last: int) -> tuple[float, float]:
     """Estimate and bound for sum_{k > k_last} d_k (k+rho)^(-2s)."""
     return _poly_tail(n, k_last, [(1.0, 2.0 * s)])[:2]
 
 
-def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
+def _spectral_tail(n: int, s: float, k_last: int) -> tuple[float, float]:
     """Estimate and bound for sum_{k > k_last} d_k lambda_k^(-s)."""
     rho = (n - 1) / 2.0
     powers = []
@@ -101,6 +104,10 @@ def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
         w = g * rho ** (2 * j)
         if w == 0.0:
             break
+        if w == math.inf:
+            # times an underflowed monomial tail it would give nan; it needs
+            # s rho^2 > 1e77, where the ratio below is >= 1 for every K < 1e38
+            return 0.0, math.inf
         powers.append((w, 2.0 * s + 2 * j))
     est, bound, _ = _poly_tail(n, k_last, powers)
     if rho > 0.0:
@@ -117,38 +124,36 @@ def _spectral_tail(s: float, n: int, k_last: int) -> tuple[float, float]:
 
 def _require_exponent(s: float, n: int) -> None:
     """Refuse, before any summing, an n that is not a sphere dimension of at
-    most 342 (``sphere_spec``) and an s that is not a finite number above n/2."""
+    most 342 (``sphere_spec``) and an s that is not a number above n/2 with
+    2s finite."""
     sphere_spec(n)
     if not (s > n / 2.0):
         raise ValueError("need s > n/2 for convergence")
-    if not math.isfinite(s):
-        raise ValueError("s must be finite")
+    if not math.isfinite(2.0 * s):
+        raise ValueError("s must be finite" if s == math.inf else
+                         f"the exponent 2s overflows a double at s = {s!r}")
 
 
-def _summed_series(s, n, policy, tail_fn, weight):
-    """Shared driver: direct terms d_k weight(lam_k, k + rho), k = 1..K, plus
-    a certified monomial tail."""
-    _require_exponent(s, n)
+def _zeta_decay(lam, u, s: float):
+    return np.power(lam, -s)
 
-    def terms(k):
-        lam, u, d = _spectral_arrays(n, k)
-        return d * weight(lam, u)
 
-    return certified_sum(terms, lambda k: tail_fn(s, n, k), policy, 16)
+def _regularized_decay(lam, u, s: float):
+    return np.power(u, -2.0 * s)
 
 
 def spectral_zeta(s: float, n: int,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> EvalResult:
     """zeta_{S^n}(s) = sum_{k>=1} d_k(n) [k(k+n-1)]^(-s), s > n/2."""
-    return _summed_series(s, n, policy, _spectral_tail,
-                          lambda lam, u: np.power(lam, -s))
+    _require_exponent(s, n)
+    return _zonal_sum(n, 1.0, policy, _zeta_decay, _spectral_tail, s, 16, 1.0)
 
 
 def regularized_zeta(s: float, n: int,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> EvalResult:
     """Z_{S^n}(s) = sum_{k>=1} d_k(n) (k + (n-1)/2)^(-2s), s > n/2."""
-    return _summed_series(s, n, policy, _regularized_tail,
-                          lambda lam, u: np.power(u, -2.0 * s))
+    _require_exponent(s, n)
+    return _zonal_sum(n, 1.0, policy, _regularized_decay, _regularized_tail, s, 16, 1.0)
 
 
 def hurwitz_style_Z(s: float, c: float,

@@ -6,9 +6,9 @@ multiplicities, a rational expansion of the multiplicity in the shifted
 variable u = k + (n-1)/2 that turns both sphere zetas into short
 combinations of Hurwitz values at 40-digit working precision, and exact
 Rodrigues-formula Legendre polynomials.  None of it shares a code path
-with the library, except the former forms of two library loops and of the
-positivity check at the end, kept as references for their faster
-replacements.
+with the library, except the former forms of two library loops, of the
+one-call certified sum and the zeta driver on it, and of the positivity
+check at the end, kept as references for their replacements.
 """
 
 from __future__ import annotations
@@ -260,6 +260,35 @@ def per_exponent_power_sums(ps, a: float, policy) -> list:
         if isinstance(r, Exception):
             raise r
     return out
+
+
+def certified_sum(terms, tail, policy, k_min: int, offset: float | None = None):
+    """The library's former one-call certified sum: offset + sum(terms(K)) +
+    the tail estimate, where K is the first ``smallest_k`` rung whose
+    tail(K) = (estimate, bound) has bound within tol/2, certified by
+    ``_certify`` over the sum and the absolute sum of the K terms."""
+    from spherezeta.truncation import _certify, smallest_k
+
+    k, est, bound = smallest_k(tail, 0.5 * policy.tol, k_min, policy.max_k)
+    head = terms(k)
+    return _certify(float(np.sum(head)), float(np.sum(np.abs(head))), est, bound, k,
+                    policy.tol, offset)
+
+
+def summed_series(s: float, n: int, policy, tail_fn, weight):
+    """The library's former driver of both sphere zetas: the terms
+    d_k weight(lambda_k, k + rho), k = 1..K, and tail_fn(n, s, K) through
+    ``certified_sum`` from K = 16, after ``zeta._require_exponent``."""
+    from spherezeta.spectrum import _spectral_arrays
+    from spherezeta.zeta import _require_exponent
+
+    _require_exponent(s, n)
+
+    def terms(k):
+        lam, u, d = _spectral_arrays(n, k)
+        return d * weight(lam, u)
+
+    return certified_sum(terms, lambda k: tail_fn(n, s, k), policy, 16)
 
 
 def formed_semigroup_positivity(op, t: float, psi, tol: float = 1e-12):

@@ -263,6 +263,15 @@ def test_specfun_commands(capsys):
     capsys.readouterr()
 
 
+def test_specfun_zeta_at_a_huge_exponent(capsys):
+    # the midpoint tail bound was nan from s ~ 1.3e154 on, and the call
+    # failed with "tail bound nan" at the term budget
+    code, out = run(capsys, ["specfun", "zeta", "--s", "1e300"])
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["value"] == 1.0 and rec["terms_used"] == 16 and rec["tail_bound"] <= 1e-10
+
+
 def test_global_flags_both_positions(capsys):
     _, out_a = run(capsys, ["--tol", "1e-6", "zeta", "--n", "2", "--s", "2"])
     _, out_b = run(capsys, ["zeta", "--n", "2", "--s", "2", "--tol", "1e-6"])

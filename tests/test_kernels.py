@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from spherezeta import kernels, spectrum
+from spherezeta import kernels, specfun, spectrum
 from spherezeta.kernels import (
     KernelQuery,
     _heat_k_min,
@@ -24,14 +24,9 @@ from spherezeta.kernels import (
 )
 from spherezeta.specfun import gegenbauer_ratio_series
 from spherezeta.spectrum import _spectral_arrays, sphere_spec
-from spherezeta.truncation import (
-    AccuracyError,
-    TruncationError,
-    TruncationPolicy,
-    certified_sum,
-)
+from spherezeta.truncation import AccuracyError, TruncationError, TruncationPolicy
 from spherezeta.zeta import _spectral_tail, spectral_zeta
-from _oracles import ref_circle_heat, ref_circle_zeta_kernel, ref_mult
+from _oracles import certified_sum, ref_circle_heat, ref_circle_zeta_kernel, ref_mult
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-13)
 
@@ -460,21 +455,21 @@ def test_shared_rungs_match_calls_with_the_store_cleared(calls):
     # refusals included, is that of a call made with an empty store
     fresh = []
     for fn, x, qq in calls:
-        kernels._zonal_rung.cache_clear()
+        specfun._zonal_rung.cache_clear()
         fresh.append(_outcome(fn, x, qq))
-    kernels._zonal_rung.cache_clear()
+    specfun._zonal_rung.cache_clear()
     assert [_outcome(fn, x, qq) for fn, x, qq in calls] == fresh
 
 
 def _unshared_kernel(kind, x, qq):
-    # the kernel as one truncation.certified_sum call with its own K ladder
+    # the kernel as one certified_sum call (the oracle) with its own K ladder
     n, vol = qq.n, sphere_spec(qq.n).volume
     if kind == "heat":
         decay, offset = (lambda lam: np.exp(-lam * x)), 1.0 / vol
         tail, k_min = (lambda k: _heat_tail_bound(n, x, k)), _heat_k_min(n, x)
     else:
         decay, offset = (lambda lam: np.power(lam, -x)), None
-        tail, k_min = (lambda k: sum(_spectral_tail(x, n, k))), 8
+        tail, k_min = (lambda k: sum(_spectral_tail(n, x, k))), 8
 
     def terms(k):
         lam, _, d = _spectral_arrays(n, k)
@@ -486,7 +481,7 @@ def _unshared_kernel(kind, x, qq):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9])
 def test_shared_rungs_match_one_certified_sum_per_call(n):
-    kernels._zonal_rung.cache_clear()
+    specfun._zonal_rung.cache_clear()
     pol = TruncationPolicy(tol=1e-9)
     for cg in (0.3, -0.8, 1.0, 0.3, 0.0):
         qq = q(n, cg, pol)
@@ -505,7 +500,7 @@ def _trace_outcome(fn, t, n, policy):
 
 
 def _certified_sum_trace(t, n, policy):
-    # the heat trace as one truncation.certified_sum call, no r_k and no volume
+    # the heat trace as one certified_sum call (the oracle), no r_k and no volume
     def terms(k):
         lam, _, d = _spectral_arrays(n, k)
         return d * np.exp(-lam * t)
@@ -539,7 +534,7 @@ def test_heat_at_huge_times_is_the_constant_mode(n, t):
 
 
 def test_a_refusal_raises_again_at_every_angle():
-    kernels._zonal_rung.cache_clear()
+    specfun._zonal_rung.cache_clear()
     tiny = TruncationPolicy(max_k=100, tol=1e-10)
     msgs = set()
     for cg in (0.5, -0.3, 1.0, 0.5):
@@ -547,7 +542,7 @@ def test_a_refusal_raises_again_at_every_angle():
             heat_kernel(1e-3, q(4, cg, tiny))
         msgs.add(str(exc.value))
     assert len(msgs) == 1 and "term budget" in msgs.pop()
-    assert kernels._zonal_rung.cache_info().currsize == 0  # refusals are not kept
+    assert specfun._zonal_rung.cache_info().currsize == 0  # refusals are not kept
     # the roundoff allowance depends on the angle: on S^3 at t = 1e-3 and
     # tol 1e-12 only the diagonal, where |r_k| = 1, blows the budget
     tight = TruncationPolicy(tol=1e-12)
@@ -572,33 +567,33 @@ def test_kept_decay_vectors_give_the_values_of_a_cleared_store():
     calls = [(fn, x, q(6, cg, pol)) for cg in (0.3, -1.0, 0.8, 1.0) for fn, x in profiles]
     fresh = []
     for fn, x, qq in calls:
-        kernels._zonal_rung.cache_clear()
+        specfun._zonal_rung.cache_clear()
         fresh.append(_outcome(fn, x, qq))
-    kernels._zonal_rung.cache_clear()
+    specfun._zonal_rung.cache_clear()
     assert [_outcome(fn, x, qq) for fn, x, qq in calls] == fresh
-    assert kernels._zonal_rung.cache_info().currsize == len(profiles)
+    assert specfun._zonal_rung.cache_info().currsize == len(profiles)
     for tail, decay, x, k_min in (
-            (kernels._heat_tail_bound, kernels._heat_decay, 2e-3, _heat_k_min(6, 2e-3)),
+            (kernels._heat_tail, kernels._heat_decay, 2e-3, _heat_k_min(6, 2e-3)),
             (kernels._zeta_tail, kernels._zeta_decay, 4.25, 8)):
-        k, _, dec, d = kernels._zonal_rung(tail, decay, 6, x, sphere_spec(6).volume, pol,
-                                           k_min)
-        lam, _, want_d = spectrum._spectral_range(6, 1, k)
-        assert dec.tobytes() == decay(lam, x).tobytes()
+        k, _, _, dec, d = specfun._zonal_rung(tail, decay, 6, x, sphere_spec(6).volume, pol,
+                                              k_min)
+        lam, u, want_d = spectrum._spectral_range(6, 1, k)
+        assert dec.tobytes() == decay(lam, u, x).tobytes()
         assert d.tobytes() == want_d.tobytes()
         for kept in (dec, d):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 1.0
             assert not any(np.shares_memory(kept, a) for a in spectrum._last_arrays[1])
-    assert kernels._zonal_rung.cache_info().currsize == len(profiles)
+    assert specfun._zonal_rung.cache_info().currsize == len(profiles)
 
 
 def test_rung_store_is_bounded():
-    assert kernels._zonal_rung.cache_info().maxsize == kernels._RUNG_ENTRIES
+    assert specfun._zonal_rung.cache_info().maxsize == specfun._RUNG_ENTRIES
     for n in (1, 2, 3):
         for t in (0.01, 0.02, 0.04, 0.08, 0.16):
             heat_kernel(t, q(n, 0.5, TruncationPolicy(tol=1e-8)))
-            assert kernels._zonal_rung.cache_info().currsize <= kernels._RUNG_ENTRIES
+            assert specfun._zonal_rung.cache_info().currsize <= specfun._RUNG_ENTRIES
 
 
 @pytest.mark.parametrize("kind", ["heat", "zeta"])
@@ -613,11 +608,11 @@ def test_an_angle_sweep_walks_one_ladder_per_profile(monkeypatch, kind):
     monkeypatch.setattr(kernels, name, counted)
     fn, x = (heat_kernel, 1e-3) if kind == "heat" else (zeta_kernel, 3.0)
     pol = TruncationPolicy(tol=1e-8)
-    kernels._zonal_rung.cache_clear()
+    specfun._zonal_rung.cache_clear()
     fn(x, q(3, 0.5, pol))
     one = len(calls)
     assert one >= 2  # at least one rung test and the tail at the chosen K
-    kernels._zonal_rung.cache_clear()
+    specfun._zonal_rung.cache_clear()
     calls.clear()
     for cg in np.linspace(-0.9, 1.0, 8).tolist():
         fn(x, q(3, cg, pol))

@@ -1,6 +1,7 @@
 """Certified-tail machinery: the midpoint estimate must stay honest."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -13,15 +14,21 @@ from spherezeta.kernels import KernelQuery, heat_trace, zeta_kernel
 from spherezeta.truncation import (
     DEFAULT_POLICY,
     AccuracyError,
+    EvalResult,
     TruncationError,
     TruncationPolicy,
-    certified_sum,
+    _power_rows,
     power_tail,
     shifted_power_sum,
-    shifted_power_sums,
     smallest_k,
 )
-from _oracles import per_exponent_power_sums, ref_hurwitz
+from _oracles import certified_sum, per_exponent_power_sums, ref_hurwitz
+
+
+def _power_sums(ps, a, policy):
+    # the (values, bounds, terms) rows of _power_rows as one result per exponent
+    values, bounds, terms = _power_rows(ps, a, policy)
+    return list(map(EvalResult, values, terms, bounds))
 
 
 def test_policy_validation():
@@ -67,11 +74,30 @@ def test_power_tail_certificate_property(p, a, k_from):
         assert err <= mp.mpf(bound) * (1 + mp.mpf("1e-6"))
 
 
+@pytest.mark.parametrize("p", [1e154, 1.4e154, 1e200, 1e300, 1.7e308])
+def test_power_tail_past_the_float_range_of_p_squared(p):
+    # from p ~ 1.3e154 on p (p + 1) overflows while z^(-p-2) underflows, and
+    # their product gave a nan bound; the bound is below the least double
+    for a, k_from in ((1.0, 16), (1e-3, 2), (0.5 + 2.0**-52, 1), (3.0, 10**6)):
+        est, bound = power_tail(p, a, k_from)
+        assert (est, bound) == (0.0, 0.0)
+        with mp.workdps(30):
+            z = mp.mpf(k_from - 0.5 + a)
+            true = mp.mpf(p) * (p + 1) * z ** (-p - 2) + mp.mpf(p) * z ** (-p - 1)
+            assert true / 24 < 5e-324
+    # at z = 1 the formula is kept, an infinite bound once p (p + 1) overflows
+    assert power_tail(p, 0.5, 1) == (1.0 / (p - 1.0), (p * (p + 1.0) + p) / 24.0)
+
+
 def test_power_tail_domain():
     with pytest.raises(ValueError):
         power_tail(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         power_tail(2.0, -0.6, 1)
+    with pytest.raises(ValueError, match="finite exponent p > 1, not p = inf"):
+        power_tail(math.inf, 1.0, 16)
+    with pytest.raises(ValueError, match="finite exponent"):
+        power_tail(math.nan, 1.0, 16)
 
 
 @pytest.mark.parametrize("p,a", [
@@ -223,10 +249,10 @@ def test_power_sums_match_single_sums_bit_for_bit(s, count, a, tol, max_k):
     first_error = next((w for w in want if isinstance(w[0], type)), None)
     if first_error is not None:
         with pytest.raises(first_error[0]) as info:
-            shifted_power_sums(ps, a, policy)
+            _power_sums(ps, a, policy)
         assert str(info.value) == first_error[1]
     else:
-        got = shifted_power_sums(ps, a, policy)
+        got = _power_sums(ps, a, policy)
         assert [(r.value, r.terms_used, r.tail_bound) for r in got] == want
     for p, w in zip(ps[:3], want):
         try:
@@ -263,7 +289,7 @@ def test_power_sums_match_the_per_exponent_path(p0, count, a, tol, max_k):
     # values, bounds, terms, and the refusal's type and message
     ps = [p0 + 0.5 * m for m in range(count)] + [p0]
     policy = TruncationPolicy(max_k=max_k, tol=tol)
-    assert (_rows_outcome(shifted_power_sums, ps, a, policy)
+    assert (_rows_outcome(_power_sums, ps, a, policy)
             == _rows_outcome(per_exponent_power_sums, ps, a, policy))
 
 
@@ -305,7 +331,7 @@ def test_power_sums_raise_what_the_first_failing_exponent_raises(ps, a, policy, 
     first = next(w for w in want if isinstance(w[0], type))
     assert first[0] is error
     with pytest.raises(error) as info:
-        shifted_power_sums(ps, a, policy)
+        _power_sums(ps, a, policy)
     assert str(info.value) == first[1]
 
 
@@ -317,21 +343,31 @@ def test_power_sums_split_a_rung_into_bounded_blocks(monkeypatch):
     ps = [2.4 + m for m in range(82)]
     want = [_one_exponent(p, 1.0, truncation._TIGHT) for p in ps]
     monkeypatch.setattr(truncation, "_BLOCK_ENTRIES", 50)
-    got = shifted_power_sums(ps, 1.0, truncation._TIGHT)
+    got = _power_sums(ps, 1.0, truncation._TIGHT)
     assert [(r.value, r.terms_used, r.tail_bound) for r in got] == want
+
+
+@pytest.mark.parametrize("s,a", [(400.0, 0.1), (3.0, 1e-300)])
+def test_an_overflowing_head_term_is_refused_without_a_warning(s, a):
+    # (k + a)^(-s) overflows at k = 0, where np.power used to warn before
+    # the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="certified bound inf"):
+            specfun.hurwitz_zeta(s, a)
 
 
 def test_power_sums_domain():
     with pytest.raises(ValueError):
-        shifted_power_sums([2.0, 1.0], 1.0, DEFAULT_POLICY)
+        _power_sums([2.0, 1.0], 1.0, DEFAULT_POLICY)
     with pytest.raises(ValueError):
-        shifted_power_sums([2.0], -0.5, DEFAULT_POLICY)
-    assert shifted_power_sums([], 1.0, DEFAULT_POLICY) == []
+        _power_sums([2.0], -0.5, DEFAULT_POLICY)
+    assert _power_sums([], 1.0, DEFAULT_POLICY) == []
 
 
 _PRODUCERS = {
     "shifted_power_sum": lambda: [shifted_power_sum(2.5, 0.5, DEFAULT_POLICY)],
-    "shifted_power_sums": lambda: shifted_power_sums([2.5, 3.0, 9.0], 1.0, DEFAULT_POLICY),
+    "shifted_power_sums": lambda: _power_sums([2.5, 3.0, 9.0], 1.0, DEFAULT_POLICY),
     "certified_sum": lambda: [certified_sum(lambda k: np.ones(k) * 1e-3,
                                             lambda k: (0.0, 0.0), DEFAULT_POLICY, 8, 1.0)],
     "riemann_zeta": lambda: [specfun.riemann_zeta(3.0)],

@@ -1,12 +1,19 @@
 """Sphere zeta functions: certificates, closed forms, and domination."""
 
 import math
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from spherezeta.truncation import TruncationPolicy
+from spherezeta import specfun
+from spherezeta.kernels import KernelQuery, zeta_kernel
+from spherezeta.specfun import hurwitz_zeta, riemann_zeta
+from spherezeta.truncation import DEFAULT_POLICY, TruncationPolicy
 from spherezeta.zeta import (
+    _regularized_tail,
+    _spectral_tail,
     closed_form_Z,
     compare_zeta_pair,
     hurwitz_style_Z,
@@ -19,6 +26,7 @@ from _oracles import (
     ref_regularized_zeta,
     ref_riemann,
     ref_spectral_zeta,
+    summed_series,
 )
 
 TIGHT = TruncationPolicy(max_k=400_000, tol=1e-12)
@@ -224,14 +232,14 @@ def _looped_tails(s, n, k_last, jmax=4):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 20, 40])
 def test_tails_equal_looped_reference(n):
-    from spherezeta.zeta import _JMAX, _regularized_tail, _spectral_tail
+    from spherezeta.zeta import _JMAX
 
     for ds in (0.3, 1.7, 6.0):
         s = n / 2.0 + ds
         for k_last in (8, 16, 64, 1024):
             regularized, spectral = _looped_tails(s, n, k_last, _JMAX)
-            assert _regularized_tail(s, n, k_last) == regularized
-            assert _spectral_tail(s, n, k_last) == spectral
+            assert _regularized_tail(n, s, k_last) == regularized
+            assert _spectral_tail(n, s, k_last) == spectral
 
 
 @pytest.mark.parametrize("call", [
@@ -252,3 +260,115 @@ def test_a_nonfinite_exponent_is_refused_up_front(fn, s):
     # s = inf used to walk the K ladder to max_k and fail on a nan tail bound
     with pytest.raises(ValueError):
         fn(s, 2)
+
+
+def _bits(fn, *args):
+    # (value, terms_used, tail_bound) in hex, or the refusal's type and message
+    try:
+        r = fn(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return r.value.hex(), r.terms_used, r.tail_bound.hex()
+
+
+_ORACLE_POLICIES = [DEFAULT_POLICY, TruncationPolicy(tol=1e-6), TruncationPolicy(tol=1e-13),
+                    TruncationPolicy(max_k=64), TruncationPolicy(max_k=400_000, tol=1e-14)]
+
+
+def _former_spectral(s, n, policy):
+    return summed_series(s, n, policy, _spectral_tail, lambda lam, u: np.power(lam, -s))
+
+
+def _former_regularized(s, n, policy):
+    return summed_series(s, n, policy, _regularized_tail, lambda lam, u: np.power(u, -2.0 * s))
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 40, 100, 200, 342])
+def test_zetas_are_their_former_certified_sums_bit_for_bit(n):
+    # on the diagonal every r_k is exactly 1 and division by the unit volume
+    # is exact, so the zonal sum gives the former driver's bits, refusals
+    # (the term budget, the total bound, an overflowing d_k) included
+    for ds in (0.51, 0.75, 1.0, 2.5, 6.0, 40.0):
+        s = n / 2.0 + ds
+        for pol in _ORACLE_POLICIES:
+            assert _bits(spectral_zeta, s, n, pol) == _bits(_former_spectral, s, n, pol)
+            assert _bits(regularized_zeta, s, n, pol) == _bits(_former_regularized, s, n, pol)
+
+
+@pytest.mark.parametrize("n,s", [(0, 2.0), (-1, 2.0), (2.5, 3.0), (343, 200.0), (400, 250.0),
+                                 (2, 1.0), (2, 0.5), (3, -1.0), (2, math.nan), (2, math.inf),
+                                 (2, -math.inf), (2, 1e308)])
+def test_zetas_refuse_what_their_former_driver_refused(n, s):
+    assert _bits(spectral_zeta, s, n, DEFAULT_POLICY)[0] is ValueError
+    assert _bits(spectral_zeta, s, n, DEFAULT_POLICY) == _bits(_former_spectral, s, n,
+                                                               DEFAULT_POLICY)
+    assert _bits(regularized_zeta, s, n, DEFAULT_POLICY) == _bits(_former_regularized, s, n,
+                                                                  DEFAULT_POLICY)
+
+
+@pytest.mark.parametrize("fn", [spectral_zeta, regularized_zeta])
+def test_a_repeated_zeta_call_is_a_rung_store_hit(fn):
+    specfun._zonal_rung.cache_clear()
+    first = fn(3.25, 4)
+    before = specfun._zonal_rung.cache_info()
+    assert (before.misses, before.currsize) == (1, 1)
+    assert fn(3.25, 4) == first
+    after = specfun._zonal_rung.cache_info()
+    assert after.hits == before.hits + 1
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def _mp_sphere_head(n, s, kind, cos_gamma=1.0):
+    # the first three terms at 40 digits: past them these huge-s sums add
+    # less than 4^(-s) times a power of k, far under the least double
+    with mp.workdps(40):
+        sv, rho, total = mp.mpf(s), mp.mpf(n - 1) / 2, mp.mpf(0)
+        gamma = mp.acos(cos_gamma)
+        for k in range(1, 4):
+            lam = mp.mpf(k * (k + n - 1))
+            term = lam ** -sv if kind == "spectral" else (k + rho) ** (-2 * sv)
+            total += ref_mult(k, n) * term * (mp.cos(k * gamma) if kind == "kernel" else 1)
+        return float(total / (2 * mp.pi) if kind == "kernel" else total)
+
+
+@pytest.mark.parametrize("s", [1e155, 1e300, 8e307])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_huge_exponents_certify_or_refuse_by_name(n, s):
+    # p (p + 1) in the midpoint bound overflowed while z^(-p-2) underflowed,
+    # a binomial weight of the spectral tail overflowed against a tail of 0,
+    # and a head term 0.5^(-s) overflowed in np.power: each gave a nan bound
+    # (a refusal "tail bound nan") or a numpy warning
+    calls = [
+        (lambda: riemann_zeta(s), lambda: ref_riemann(s)),
+        (lambda: hurwitz_zeta(s, 1.0), lambda: ref_hurwitz(s, 1.0)),
+        (lambda: hurwitz_zeta(s, 0.5), None),
+        (lambda: hurwitz_style_Z(s, 1.0), lambda: ref_riemann(2.0 * s)),
+        (lambda: regularized_zeta(s, n), lambda: _mp_sphere_head(n, s, "regularized")),
+        (lambda: spectral_zeta(s, n), lambda: _mp_sphere_head(n, s, "spectral")),
+    ] + [(lambda cg=cg: zeta_kernel(s, KernelQuery(n, cg)),
+          lambda cg=cg: _mp_sphere_head(n, s, "kernel", cg)) for cg in (1.0, 0.5, -0.7)]
+    certified = 0
+    for call, ref in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                r = call()
+            except (ValueError, ArithmeticError, RuntimeError) as exc:
+                assert "nan" not in str(exc).lower()
+                continue
+        assert abs(r.value - ref()) <= r.tail_bound
+        certified += 1
+    # the sums at shift 1 are 1, the regularized zeta 2 (n = 1) or 0.0, and
+    # for n = 1 the spectral zeta 2 and the kernel cos(gamma) / pi
+    assert certified == (8 if n == 1 else 4)
+
+
+def test_an_overflowing_exponent_is_refused_by_name():
+    for fn in (riemann_zeta, lambda s: hurwitz_zeta(s, 0.5)):
+        with pytest.raises(ValueError, match="finite exponent p > 1, not p = inf"):
+            fn(math.inf)
+    with pytest.raises(ValueError, match="finite exponent p > 1, not p = inf"):
+        hurwitz_style_Z(1e308, 1.0)
+    for fn in (spectral_zeta, regularized_zeta, lambda s, n: zeta_kernel(s, KernelQuery(n, 0.5))):
+        with pytest.raises(ValueError, match="exponent 2s overflows a double at s = 1e\\+308"):
+            fn(1e308, 2)
