@@ -21,19 +21,40 @@ process prints for the same argv.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import importlib.util
 import io
 import json
 import locale
 import math
 import sys
-from decimal import Decimal
 
 import numpy as np
 
-from . import kato, kernels, majorize, spectrum, specfun, zeta
 from .truncation import AccuracyError, EvalResult, TruncationError, TruncationPolicy
+
+
+def _lazy_module(name: str):
+    """The package's module ``name``, put in ``sys.modules`` (and on the
+    package) now but executed on its first attribute read, through
+    ``importlib.util.LazyLoader``; a module already imported is returned as is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# a call runs only the modules its subcommand reads (kato reads none of the
+# others); truncation, which every series command and the error handling
+# of main use, is imported as usual above
+kato, kernels, majorize, spectrum, specfun, zeta = map(
+    _lazy_module, ("kato", "kernels", "majorize", "spectrum", "specfun", "zeta"))
 
 
 class UsageError(Exception):
@@ -75,6 +96,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
     if fmt == "csv":
         if not records:
             return
+        import csv  # CSV output only
+
         keys = list(records[0].keys())
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(keys)
@@ -93,6 +116,8 @@ _GRID_MAX_POINTS = 10_000
 
 def _parse_grid(text: str) -> list[float]:
     # decimal arithmetic, so a + i*step does not drift (0.1:0.5:0.1 gives 0.3)
+    from decimal import Decimal
+
     try:
         a, b, step = (Decimal(p) for p in text.split(":"))
         if not all(math.isfinite(float(x)) for x in (a, b, step)):

@@ -71,7 +71,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .spectrum import _require_int
+from .truncation import _require_int
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .specfun import _zonal_sum, gegenbauer_ratio_series
 from .spectrum import _spectral_arrays, sphere_spec
@@ -196,6 +195,8 @@ def _log_trace_envelope(n: int, log_tau, s: float | None = None):
 
 def _gl_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of 16-point Gauss-Legendre on equal panels of [a, b]."""
+    from numpy.polynomial.legendre import leggauss  # the Mellin route only
+
     x16, w16 = leggauss(16)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -234,10 +235,15 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     tol = q.policy.tol
     # every budget and weight below is divided by Gamma(s), carried as its
     # log so that no intermediate overflows however large s is
-    lg_s = math.lgamma(s)
+    try:
+        lg_s = math.lgamma(s)
+    except OverflowError:
+        raise AccuracyError(f"log Gamma(s) overflows a double at s = {s!r}") from None
 
     def head_bound(log_tau: float) -> float:
-        return math.exp(_log_trace_envelope(n, log_tau, s) - lg_s) / vol
+        # a float, not a numpy scalar: past s ~ 1.8e305 the log is below
+        # -DBL_MAX, and -inf is its limit
+        return math.exp(float(_log_trace_envelope(n, log_tau, s)) - lg_s) / vol
 
     target = 0.25 * tol
     lo, hi = -300.0, 0.0
@@ -299,10 +305,11 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     jac = w_u * np.exp(s * u - lg_s)
     f, berr = np.array([series_node(t) for t in np.exp(u).tolist()]).T
     # roundoff: the exponent s u - lgamma(s) of each weight is off by about
-    # (2 |s u| + |lgamma(s)|) eps, and the sum by its allowance
+    # (2 |s u| + |lgamma(s)|) eps, and the sum by its allowance; eps scales
+    # each part first (exactly, a power of two), so the sum cannot overflow
     mag = np.abs(jac * f)
     err = float(head + far + np.abs(jac) @ berr + quad
-                + _EPS * (2.0 * np.abs(s * u) + abs(lg_s) + 4.0) @ mag
+                + (2.0 * _EPS * np.abs(s * u) + _EPS * abs(lg_s) + 4.0 * _EPS) @ mag
                 + _roundoff_allowance(float(np.sum(mag)), len(u)))
     if not err <= tol:
         raise AccuracyError(f"certified error {err:.3e} exceeds budget {tol:.3e}")

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import _require_dimension, _require_int, _spectral_arrays
+from .spectrum import _require_dimension, _spectral_arrays
 from .truncation import (
     _EPS,
     _TIGHT,
@@ -52,6 +52,7 @@ from .truncation import (
     TruncationPolicy,
     _certify,
     _power_rows,
+    _require_int,
     shifted_power_sum,
     smallest_k,
 )
@@ -91,7 +92,11 @@ def hurwitz_via_binomial(s: float, rho: float, m_max: int) -> EvalResult:
     m_max = _require_int(m_max, 0, "m_max must be a nonnegative integer")
 
     p = 2.0 * s
-    value = rho ** (-p)
+    try:
+        value = rho ** (-p)
+    except OverflowError:
+        raise OverflowError(f"zeta_H(2s, rho) >= rho^(-2s) overflows a double at "
+                            f"s = {s!r}") from None
     inner_tails = 0.0
     coef = 1.0  # Gamma(2s+m) / (m! Gamma(2s)), built by recurrence
     abs_accum = abs(value)

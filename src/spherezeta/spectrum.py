@@ -18,13 +18,14 @@ n through ``sphere_spec``, which refuses n > 342 (the volume overflows).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
+
+from .truncation import _require_int
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,6 @@ class SpectrumEntry(NamedTuple):
 
 # Gamma((n + 1)/2) in the volume overflows a double from n = 343 on
 _MAX_SPEC_N = 342
-
-
-def _require_int(x, least: int, message: str) -> int:
-    """x as an int, refused with ValueError(message) before any summing unless
-    it is an integer >= least (a bool or a float such as 2.0 is refused; a
-    numpy integer is converted, so exact integer steps stay exact)."""
-    if type(x) is not int:  # the common case skips the slower ABC check
-        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-            raise ValueError(message)
-        x = int(x)
-    if x < least:
-        raise ValueError(message)
-    return x
 
 
 def _require_dimension(n) -> int:

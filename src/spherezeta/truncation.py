@@ -36,14 +36,26 @@ and sums that would naively need 1e10 terms close at a few hundred.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .spectrum import _require_int
-
 _EPS = float(np.finfo(float).eps)
+
+
+def _require_int(x, least: int, message: str) -> int:
+    """x as an int, refused with ValueError(message) before any summing unless
+    it is an integer >= least (a bool or a float such as 2.0 is refused; a
+    numpy integer is converted, so exact integer steps stay exact)."""
+    if type(x) is not int:  # the common case skips the slower ABC check
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise ValueError(message)
+        x = int(x)
+    if x < least:
+        raise ValueError(message)
+    return x
 
 
 class TruncationError(RuntimeError):

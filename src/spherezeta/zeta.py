@@ -31,6 +31,7 @@ implemented (the grid tests against the direct summation pin this down).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ import numpy as np
 from .majorize import partial_sum_domination
 from .specfun import _zonal_sum
 from .spectrum import (
-    _require_int,
     _spectral_arrays,
     mult_poly_coeffs,
     sphere_spec,
@@ -50,6 +50,7 @@ from .truncation import (
     EvalResult,
     TruncationPolicy,
     _power_rows,
+    _require_int,
     power_tail,
     shifted_power_sum,
 )
@@ -190,6 +191,10 @@ def _closed_form_terms(s: float, n: int, tol: float) -> EvalResult:
     rows = _power_rows([2.0 * s - m for m, _ in monomials], 1.0, _TIGHT)
     for (m, a_m), z, z_bound, z_terms in zip(monomials, *rows):
         p = 2.0 * s - m
+        if n % 2 == 0 and p >= sys.float_info.max_exp:
+            # 2^p and 0.5^(-p) are past the float range, as is the bound
+            raise AccuracyError(f"the closed form's scale 2^(2s - {m}) overflows a "
+                                f"double at s = {s!r}")
         scale = math.pow(2.0, p) - 1.0 if n % 2 == 0 else 1.0
         first = sum(math.pow(rho - i, -p) for i in range(math.ceil(rho)))
         value += a_m * (scale * z - first)
@@ -223,13 +228,25 @@ def compare_zeta_pair(s: float, n: int, kmax: int,
     lam, u, d = _spectral_arrays(n, kmax)
     shifted_terms = d * np.power(u, -2.0 * s)
     laplace_terms = d * np.power(lam, -s)
-    dom = partial_sum_domination(shifted_terms, laplace_terms)
+    # a shifted term that underflowed to 0.0 leaves its partial sum as it was
+    # while the unshifted one can only grow, so no first violation falls on
+    # it: the prefixes are compared at the positive shifted terms, each
+    # unshifted entry the sum of the terms since the last one (the terms
+    # themselves when none underflowed)
+    kept = np.flatnonzero(shifted_terms > 0.0)
+    first = None
+    if kept.size:
+        starts = np.concatenate(([0], kept[:-1] + 1))
+        dom = partial_sum_domination(shifted_terms[kept],
+                                     np.add.reduceat(laplace_terms[:kept[-1] + 1], starts))
+        if dom.first_violation is not None:
+            first = int(kept[dom.first_violation - 1]) + 1
     full_ok = zs.value <= zl.value + zl.tail_bound + zs.tail_bound
     return ZetaPair(
         s=s,
         n=n,
         zeta_laplace=zl,
         zeta_shifted=zs,
-        dominated=bool(dom.ok and full_ok),
-        first_violation=dom.first_violation,
+        dominated=bool(first is None and full_ok),
+        first_violation=first,
     )

@@ -407,6 +407,16 @@ def test_dominate_high_dimension(capsys):
     assert rec["laplace_bound"] <= 1e-10
 
 
+def test_dominate_with_underflowed_terms(capsys):
+    # (1000.5)^(-120) underflows to 0.0; this exited 1 with "error: entries
+    # must be positive"
+    code, out = run(capsys, ["dominate", "--n", "2", "--s", "60", "--kmax", "1000"])
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["dominated"] is True and rec["first_violation"] is None
+    assert 0.0 < rec["zeta_shifted"] < rec["zeta_laplace"]
+
+
 def test_kernel_over_roundoff_floor_exits_one(capsys):
     # bound 4e65 at tol 1e-8 used to be printed with exit 0
     assert cli.main(["kernel", "--kind", "heat", "--n", "60", "--t", "1e-6",
@@ -736,6 +746,11 @@ def _negative_ground_graph():
     (["heat-trace", "--n", "340", "--t", "1e-4"],
      "multiplicity d_k of S^340 overflows a double from k = 840 on"),
     (["kato", "positivity", "--t", "1e300"], "e^(-tL) overflows at t = 1e+300"),
+    # each was a bare "error: math range error"
+    (["zeta", "--form", "closed", "--n", "2", "--s", "520"],
+     "the closed form's scale 2^(2s - 1) overflows a double at s = 520.0"),
+    (["mellin-check", "--n", "2", "--s", "8e307", "--cos-gamma", "0.5"],
+     "log Gamma(s) overflows a double at s = 8e+307"),
 ])
 def test_overflow_on_the_way_to_a_refusal_prints_only_the_refusal(tmp_path, argv, message):
     if argv[0] == "kato":

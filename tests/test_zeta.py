@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from spherezeta import specfun
-from spherezeta.kernels import KernelQuery, zeta_kernel
-from spherezeta.specfun import hurwitz_zeta, riemann_zeta
-from spherezeta.truncation import DEFAULT_POLICY, TruncationPolicy
+from spherezeta.kernels import KernelQuery, mellin_zeta_kernel, zeta_kernel
+from spherezeta.majorize import partial_sum_domination
+from spherezeta.spectrum import _spectral_arrays
+from spherezeta.specfun import hurwitz_via_binomial, hurwitz_zeta, riemann_zeta
+from spherezeta.truncation import DEFAULT_POLICY, AccuracyError, TruncationPolicy
 from spherezeta.zeta import (
+    _closed_form_terms,
     _regularized_tail,
     _spectral_tail,
     closed_form_Z,
@@ -346,7 +349,15 @@ def test_huge_exponents_certify_or_refuse_by_name(n, s):
         (lambda: regularized_zeta(s, n), lambda: _mp_sphere_head(n, s, "regularized")),
         (lambda: spectral_zeta(s, n), lambda: _mp_sphere_head(n, s, "spectral")),
     ] + [(lambda cg=cg: zeta_kernel(s, KernelQuery(n, cg)),
-          lambda cg=cg: _mp_sphere_head(n, s, "kernel", cg)) for cg in (1.0, 0.5, -0.7)]
+          lambda cg=cg: _mp_sphere_head(n, s, "kernel", cg)) for cg in (1.0, 0.5, -0.7)] + [
+        # these three raised a bare OverflowError ("math range error" or
+        # "Numerical result out of range") that named no exponent
+        (lambda: _closed_form_terms(s, n, DEFAULT_POLICY.tol),
+         lambda: _mp_sphere_head(n, s, "regularized")),
+        (lambda: mellin_zeta_kernel(s, KernelQuery(n, 0.5)),
+         lambda: _mp_sphere_head(n, s, "kernel", 0.5)),
+        (lambda: hurwitz_via_binomial(s, 0.5, 10), None),
+    ]
     certified = 0
     for call, ref in calls:
         with warnings.catch_warnings():
@@ -355,12 +366,72 @@ def test_huge_exponents_certify_or_refuse_by_name(n, s):
                 r = call()
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 assert "nan" not in str(exc).lower()
+                assert type(exc) is not OverflowError or f"at s = {s!r}" in str(exc)
                 continue
         assert abs(r.value - ref()) <= r.tail_bound
         certified += 1
     # the sums at shift 1 are 1, the regularized zeta 2 (n = 1) or 0.0, and
-    # for n = 1 the spectral zeta 2 and the kernel cos(gamma) / pi
-    assert certified == (8 if n == 1 else 4)
+    # for n = 1 the spectral zeta 2 and the kernel cos(gamma) / pi; the
+    # closed form gives 2.0 and 0.0 at odd n (n = 2 overflows its scale
+    # 2^(2s - 1)), the Mellin route 0.0 for n >= 2 until log Gamma(s)
+    # overflows (s = 8e307), and zeta_H(2s, 1/2) >= 2^(2s) always overflows
+    assert certified == (8 if n == 1 else 4) + (n != 2) + (n >= 2 and s < 8e307)
+
+
+_CLOSED_SCALE = "the closed form's scale 2^(2s - 1) overflows a double at s = "
+_LOG_GAMMA = "log Gamma(s) overflows a double at s = "
+
+
+@pytest.mark.parametrize("call,s,message", [
+    (lambda s: closed_form_Z(s, 2), 520.0, _CLOSED_SCALE + "520.0"),
+    (lambda s: closed_form_Z(s, 2), 1e300, _CLOSED_SCALE + "1e+300"),
+    (lambda s: closed_form_Z(s, 4), 1e300, _CLOSED_SCALE + "1e+300"),
+    (lambda s: mellin_zeta_kernel(s, KernelQuery(1, 0.5)), 8e307, _LOG_GAMMA + "8e+307"),
+    (lambda s: mellin_zeta_kernel(s, KernelQuery(2, 0.5)), 8e307, _LOG_GAMMA + "8e+307"),
+    (lambda s: mellin_zeta_kernel(s, KernelQuery(3, 0.5)), 8e307, _LOG_GAMMA + "8e+307"),
+], ids=["closed-n2-520", "closed-n2-1e300", "closed-n4-1e300", "mellin-n1", "mellin-n2",
+        "mellin-n3"])
+def test_a_route_past_the_float_range_is_refused_naming_s(call, s, message):
+    with pytest.raises(AccuracyError) as info:
+        call(s)
+    assert str(info.value) == message
+
+
+def test_binomial_hurwitz_names_the_s_whose_value_overflows():
+    with pytest.raises(OverflowError) as info:
+        hurwitz_via_binomial(1e300, 0.5, 10)
+    assert str(info.value) == "zeta_H(2s, rho) >= rho^(-2s) overflows a double at s = 1e+300"
+
+
+def test_mellin_route_just_below_the_log_gamma_overflow_gives_no_warning():
+    # from s ~ 1.8e305 the head's log envelope minus log Gamma(s) fell
+    # below -DBL_MAX in numpy scalars, and from s ~ 2.54e305 the roundoff
+    # weights 2 |s u| + |log Gamma(s)| overflowed: numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1.8e305, 2.0e305, 2.55e305):
+            r = mellin_zeta_kernel(s, KernelQuery(2, 0.5))
+            assert (r.value, r.tail_bound) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("s,n,kmax", [(60.0, 2, 1000), (170.0, 1, 10), (200.0, 3, 10),
+                                      (1e155, 1, 10)])
+def test_pair_with_underflowed_terms_is_dominated(s, n, kmax):
+    # a term (k + rho)^(-2s) that underflowed to 0.0 was passed on to
+    # partial_sum_domination, which refused it: "entries must be positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = compare_zeta_pair(s, n, kmax)
+    assert pair.dominated is True and pair.first_violation is None
+    assert pair.zeta_shifted.value <= pair.zeta_laplace.value
+
+
+@pytest.mark.parametrize("s,n,kmax", [(2.5, 3, 50), (1.25, 2, 2000), (21.0, 40, 300)])
+def test_pair_without_underflow_compares_the_terms_themselves(s, n, kmax):
+    lam, u, d = _spectral_arrays(n, kmax)
+    dom = partial_sum_domination(d * np.power(u, -2.0 * s), d * np.power(lam, -s))
+    pair = compare_zeta_pair(s, n, kmax)
+    assert (pair.dominated, pair.first_violation) == (dom.ok, dom.first_violation) == (True, None)
 
 
 def test_an_overflowing_exponent_is_refused_by_name():
