@@ -31,7 +31,13 @@ import sys
 
 import numpy as np
 
-from .truncation import AccuracyError, EvalResult, TruncationError, TruncationPolicy
+from .truncation import (
+    DEFAULT_POLICY,
+    AccuracyError,
+    EvalResult,
+    TruncationError,
+    TruncationPolicy,
+)
 
 
 def _lazy_module(name: str):
@@ -50,9 +56,9 @@ def _lazy_module(name: str):
     return module
 
 
-# a call runs only the modules its subcommand reads (kato reads none of the
-# others); truncation, which every series command and the error handling
-# of main use, is imported as usual above
+# a call runs only the modules its subcommand reads (kato none of the others,
+# a heat call neither zeta nor majorize); truncation, which every series
+# command and the error handling of main use, is imported as usual above
 kato, kernels, majorize, spectrum, specfun, zeta = map(
     _lazy_module, ("kato", "kernels", "majorize", "spectrum", "specfun", "zeta"))
 
@@ -313,11 +319,9 @@ def build_parser() -> _Parser:
     return p
 
 
-def _policy(args, default_tol=1e-10, default_max_k=200_000) -> TruncationPolicy:
-    return TruncationPolicy(
-        max_k=args.max_k if args.max_k is not None else default_max_k,
-        tol=args.tol if args.tol is not None else default_tol,
-    )
+def _policy(args, default_tol=1e-10) -> TruncationPolicy:
+    return TruncationPolicy(max_k=DEFAULT_POLICY.max_k if args.max_k is None else args.max_k,
+                            tol=default_tol if args.tol is None else args.tol)
 
 
 def _values(args, name: str) -> list[float]:
@@ -384,10 +388,8 @@ def _cmd_heat_trace(args):
 
 def _cmd_mellin_check(args):
     verdict_tol = args.tol if args.tol is not None else 1e-6
-    pol = TruncationPolicy(
-        max_k=args.max_k if args.max_k is not None else 2_000_000,
-        tol=min(1e-7, verdict_tol / 10.0),
-    )
+    pol = TruncationPolicy(max_k=2_000_000 if args.max_k is None else args.max_k,
+                           tol=min(1e-7, verdict_tol / 10.0))
     q = kernels.KernelQuery(n=args.n, cos_gamma=args.cos_gamma, policy=pol)
     mz = kernels.mellin_zeta_kernel(args.s, q)
     dz = kernels.zeta_kernel(args.s, q)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import zeta  # read at call time, so a heat call leaves a lazy zeta unrun
 from .specfun import _zonal_sum, gegenbauer_ratio_series
 from .spectrum import _spectral_arrays, sphere_spec
 from .truncation import (
@@ -48,7 +49,6 @@ from .truncation import (
     _roundoff_allowance,
     smallest_k,
 )
-from .zeta import _require_exponent, _spectral_tail, _zeta_decay
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _heat_tail(n: int, t: float, k_last: int) -> tuple[float, float]:
 
 def _zeta_tail(n: int, s: float, k_last: int) -> tuple[float, float]:
     # |sum_{k > k_last} d_k lambda_k^(-s) r_k| is at most the sum without r_k
-    return 0.0, sum(_spectral_tail(n, s, k_last))
+    return 0.0, sum(zeta._spectral_tail(n, s, k_last))
 
 
 def _heat_decay(lam, u, t: float):
@@ -137,8 +137,8 @@ def heat_kernel(t: float, q: KernelQuery) -> EvalResult:
 
 def zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     """Zonal zeta kernel at cos(gamma) for finite s > n/2, certified to q.policy.tol."""
-    _require_exponent(s, q.n)
-    return _zonal_sum(q.n, q.cos_gamma, q.policy, _zeta_decay, _zeta_tail, s, 8,
+    zeta._require_exponent(s, q.n)
+    return _zonal_sum(q.n, q.cos_gamma, q.policy, zeta._zeta_decay, _zeta_tail, s, 8,
                       sphere_spec(q.n).volume)
 
 
@@ -231,7 +231,7 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     far tail, node series and panel quadrature each get a certified quarter
     of q.policy.tol, roundoff comes on top, and a total over tol raises."""
     n, vol = q.n, sphere_spec(q.n).volume
-    _require_exponent(s, n)
+    zeta._require_exponent(s, n)
     tol = q.policy.tol
     # every budget and weight below is divided by Gamma(s), carried as its
     # log so that no intermediate overflows however large s is
@@ -284,8 +284,9 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
         raise AccuracyError(f"certified error {bound:.3e} exceeds budget {tol:.3e}")
 
     # per-node series accuracy target, so that the node errors add up to at
-    # most tol/4; capping the exponent below overflow only lowers it
-    node_tol = target * s * math.exp(min(lg_s - s * math.log(t_cut), 700.0))
+    # most tol/4; capping its log near 700 keeps it finite and only lowers it
+    node_tol = target * s * math.exp(min(lg_s - s * math.log(t_cut),
+                                         700.0 - math.log(max(target * s, 1.0))))
 
     k_cap = smallest_k(lambda k: (0.0, _heat_tail_bound(n, t_min, k) / vol), node_tol,
                        _heat_k_min(n, t_min), q.policy.max_k)[0]
@@ -308,7 +309,11 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     # (2 |s u| + |lgamma(s)|) eps, and the sum by its allowance; eps scales
     # each part first (exactly, a power of two), so the sum cannot overflow
     mag = np.abs(jac * f)
-    err = float(head + far + np.abs(jac) @ berr + quad
+    # an underflowed weight is below the least subnormal, and its node's value below |f| + berr
+    lost = math.ulp(0.0) * float(np.sum((np.abs(f) + berr)[jac == 0.0]))
+    if not math.isfinite(lost):
+        raise AccuracyError(f"node values overflow where weights underflow at s = {s!r}")
+    err = float(head + far + np.abs(jac) @ berr + lost + quad
                 + (2.0 * _EPS * np.abs(s * u) + _EPS * abs(lg_s) + 4.0 * _EPS) @ mag
                 + _roundoff_allowance(float(np.sum(mag)), len(u)))
     if not err <= tol:

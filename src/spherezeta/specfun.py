@@ -16,12 +16,12 @@ call, the core of ``shifted_power_sum``.
 
 Gegenbauer ratios r_k = C_k^{alpha}(t) / C_k^{alpha}(1) with alpha =
 (n-1)/2 are generated by a three-term recurrence that is uniform in n >= 2;
-the n = 1 boundary case is the Chebyshev limit cos(k arccos t).  The table
-of the last (n, t) asked for is kept, and a longer request continues its
-recurrence from the last two entries, so the kernels at one angle share it.
+the n = 1 boundary case is the Chebyshev limit cos(k arccos t).  The last
+(n, t) table built is kept read-only for the requests it reaches, so the
+kernels at one angle share it; any other request builds a fresh one whole.
 A step's factors j - 1 and j + n - 2 are Python floats read from one small
 store shared by every n, and (2j + n - 3) t is one numpy product per
-extension, rounded as the scalar step rounds it, so every table has the bits
+table, rounded as the scalar step rounds it, so every table has the bits
 of the plain loop; a table longer than the store reaches is built in chunks.
 On the diagonal and at the antipode, t = +-1, the table is r_k = t^k, which
 is what the recurrence gives there: it is built without it, fresh on every
@@ -153,10 +153,8 @@ def gegenbauer_ratio_series(n: int, t: float, kmax: int) -> np.ndarray:
     return _recurrence_table(n, t, kmax)[:kmax + 1].copy()
 
 
-# ((n, t.hex()), [r_0, ..., r_K]) of the last n >= 2 table asked for.  One
-# table is kept, so memory stays that of the last request; it is replaced
-# whole, never written once published, so a concurrent reader sees an old
-# table or a new one.
+# ((n, t.hex()), [r_0, ..., r_K]) of the last n >= 2 table built: read-only and
+# replaced whole, so a concurrent reader sees the old table or the new one.
 _last_table: tuple = ((0, ""), np.empty(0))
 # [0.0, 1.0, 2.0, ...]: the step factors j - 1 and j + n - 2 of every n are
 # slices of it.  Grown by powers of two up to _FACTOR_CAP entries and replaced
@@ -184,26 +182,25 @@ def _step_factors(n: int, t: float, lo: int, hi: int) -> tuple[list, list, list]
 
 def _recurrence_table(n: int, t: float, kmax: int) -> np.ndarray:
     """[r_0, ..., r_K], K >= kmax, for n >= 2 and -1 < t < 1: the kept table
-    when it is for (n, t), else a fresh one, extended by the same recurrence
-    steps ((2j + n - 3) t r_{j-1} - (j - 1) r_{j-2}) / (j + n - 2)."""
+    if it is for (n, t) and reaches kmax, else a fresh read-only one, run from
+    r_0 = 1 by the steps ((2j + n - 3) t r_{j-1} - (j - 1) r_{j-2}) / (j + n - 2)."""
     global _last_table
     key, r = _last_table
-    if key != (n, t.hex()):
-        key, r = (n, t.hex()), np.array([1.0, t])
-    if len(r) <= kmax:
-        k0 = len(r)
-        r = np.concatenate((r, np.empty(kmax + 1 - k0)))
-        prev, cur = float(r[k0 - 2]), float(r[k0 - 1])
-        step = kmax + 1 - k0 if kmax + n - 1 <= _FACTOR_CAP else _CHUNK
-        for lo in range(k0, kmax + 1, step):
-            hi = min(lo + step, kmax + 1)
-            vals = []
-            append = vals.append
-            for a, b, c in zip(*_step_factors(n, t, lo, hi)):
-                prev, cur = cur, (a * cur - b * prev) / c
-                append(cur)
-            r[lo:hi] = vals
-    _last_table = (key, r)
+    if key == (n, t.hex()) and len(r) > kmax:
+        return r
+    r = np.empty(max(kmax, 1) + 1)
+    r[:2] = prev, cur = 1.0, t
+    step = kmax + 1 if kmax + n - 1 <= _FACTOR_CAP else _CHUNK
+    for lo in range(2, kmax + 1, step):
+        hi = min(lo + step, kmax + 1)
+        vals = []
+        append = vals.append
+        for a, b, c in zip(*_step_factors(n, t, lo, hi)):
+            prev, cur = cur, (a * cur - b * prev) / c
+            append(cur)
+        r[lo:hi] = vals
+    r.setflags(write=False)
+    _last_table = ((n, t.hex()), r)
     return r
 
 

@@ -147,30 +147,25 @@ def mult_poly_coeffs(n: int) -> tuple[float, ...]:
     return tuple((c_m << m) / den for m, c_m in enumerate(c))
 
 
-# (n, (lam, u, d)) for k = 1..2^j of the last n asked for.  A longer request
-# computes only the new k, with the same elementwise formulas, so every entry
-# is that of a fresh build.  The arrays are never written once kept and the
-# tuple is replaced whole, so a view stays valid and a concurrent reader sees
-# the old arrays or the new ones.
+# (n, (lam, u, d)) for k = 1..2^j of the last n built.  The arrays are
+# read-only and the tuple is replaced whole, so a view stays valid and a
+# concurrent reader sees the old arrays or the new ones.
 _last_arrays: tuple = (0, (np.empty(0), np.empty(0), np.empty(0)))
 
 
 def _spectral_arrays(n: int, kmax: int):
     """Read-only float arrays (lam, mu_sqrt, d) for k = 1..kmax.
 
-    Views into the kept arrays of n, grown to kmax rounded up to a power of
-    two, so a ladder of nearby K and a later shorter request reuse them.
+    Views into the kept arrays when they are for n and reach kmax, else into
+    arrays built for k = 1..kmax rounded up to a power of two, which replace
+    them, so a ladder of nearby K and a later shorter request reuse one build.
     Raises OverflowError when d_kmax overflows a double (d_k grows with k
     for n >= 2, so it is the largest asked for; the padding is not looked at).
     """
     global _last_arrays
     held_n, arrays = _last_arrays
-    if held_n != n:
-        arrays = None
-    if arrays is None or len(arrays[0]) < kmax:
-        lo = 0 if arrays is None else len(arrays[0])
-        new = _spectral_range(n, lo + 1, 1 << (max(kmax, 1) - 1).bit_length())
-        arrays = new if arrays is None else tuple(map(np.concatenate, zip(arrays, new)))
+    if held_n != n or len(arrays[0]) < kmax:
+        arrays = _spectral_range(n, 1, 1 << (max(kmax, 1) - 1).bit_length())
         for arr in arrays:
             arr.setflags(write=False)
         _last_arrays = (n, arrays)

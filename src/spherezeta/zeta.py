@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorize import partial_sum_domination
+from . import majorize  # read at call time, by compare_zeta_pair only
 from .specfun import _zonal_sum
 from .spectrum import (
     _spectral_arrays,
@@ -237,8 +237,8 @@ def compare_zeta_pair(s: float, n: int, kmax: int,
     first = None
     if kept.size:
         starts = np.concatenate(([0], kept[:-1] + 1))
-        dom = partial_sum_domination(shifted_terms[kept],
-                                     np.add.reduceat(laplace_terms[:kept[-1] + 1], starts))
+        dom = majorize.partial_sum_domination(
+            shifted_terms[kept], np.add.reduceat(laplace_terms[:kept[-1] + 1], starts))
         if dom.first_violation is not None:
             first = int(kept[dom.first_violation - 1]) + 1
     full_ok = zs.value <= zl.value + zl.tail_bound + zs.tail_bound

@@ -1,6 +1,7 @@
 """Heat and zeta kernels on spheres, plus the Mellin reconstruction."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from spherezeta import kernels, specfun, spectrum
+from spherezeta import kernels, specfun, spectrum, zeta
 from spherezeta.kernels import (
     KernelQuery,
     _heat_k_min,
@@ -238,6 +239,23 @@ def test_mellin_refuses_before_the_node_series(monkeypatch, s):
     monkeypatch.setattr(kernels, "_spectral_arrays", unreachable)
     with pytest.raises(AccuracyError, match="exceeds budget"):
         mellin_zeta_kernel(s, KernelQuery(n=1, cos_gamma=0.5, policy=MELLIN_POLICY))
+
+
+@pytest.mark.parametrize("s", [4.4e17, 1e100, 1e300])
+@pytest.mark.parametrize("n", [100, 200, 342])
+def test_mellin_huge_s_certifies_or_refuses_naming_s(n, s):
+    # every weight e^(s u - lgamma(s)) underflows to 0.0 here, and at n >= 200
+    # the node tolerance used to overflow, so 0 x inf made the bound nan; the
+    # kernel itself is about (n + 1) n^-s / V_n, far below the least double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = mellin_zeta_kernel(s, KernelQuery(n=n, cos_gamma=0.5))
+        except AccuracyError as exc:
+            assert f"s = {s!r}" in str(exc) and "nan" not in str(exc)
+        else:
+            assert math.isfinite(r.tail_bound) and r.tail_bound <= 1e-10
+            assert abs(r.value) <= r.tail_bound
 
 
 def test_heat_kernel_decay_rate_is_spectral_gap():
@@ -574,7 +592,7 @@ def test_kept_decay_vectors_give_the_values_of_a_cleared_store():
     assert specfun._zonal_rung.cache_info().currsize == len(profiles)
     for tail, decay, x, k_min in (
             (kernels._heat_tail, kernels._heat_decay, 2e-3, _heat_k_min(6, 2e-3)),
-            (kernels._zeta_tail, kernels._zeta_decay, 4.25, 8)):
+            (kernels._zeta_tail, zeta._zeta_decay, 4.25, 8)):
         k, _, _, dec, d = specfun._zonal_rung(tail, decay, 6, x, sphere_spec(6).volume, pol,
                                               k_min)
         lam, u, want_d = spectrum._spectral_range(6, 1, k)
@@ -598,14 +616,14 @@ def test_rung_store_is_bounded():
 
 @pytest.mark.parametrize("kind", ["heat", "zeta"])
 def test_an_angle_sweep_walks_one_ladder_per_profile(monkeypatch, kind):
-    name = "_heat_tail_bound" if kind == "heat" else "_spectral_tail"
-    inner, calls = getattr(kernels, name), []
+    owner, name = (kernels, "_heat_tail_bound") if kind == "heat" else (zeta, "_spectral_tail")
+    inner, calls = getattr(owner, name), []
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(kernels, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     fn, x = (heat_kernel, 1e-3) if kind == "heat" else (zeta_kernel, 3.0)
     pol = TruncationPolicy(tol=1e-8)
     specfun._zonal_rung.cache_clear()

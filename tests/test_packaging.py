@@ -86,6 +86,34 @@ def test_heat_kernel_call_runs_no_kato():
     assert "kernels" in result["ran"] and "kato" not in result["ran"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--kind", "heat", "--n", "3", "--t", "0.5", "--cos-gamma", "0.5"),
+    ("heat-trace", "--n", "3", "--t", "0.5"),
+])
+def test_a_heat_call_runs_neither_zeta_nor_majorize(argv):
+    out, result = _modules_run(*argv)
+    assert result["code"] == 0 and len(out) == 1
+    assert sorted(result["ran"]) == sorted(["__init__", "cli", "truncation", "kernels",
+                                            "specfun", "spectrum"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--kind", "zeta", "--n", "3", "--s", "2.5", "--cos-gamma", "0.5"),
+    ("mellin-check", "--n", "1", "--s", "1.5", "--cos-gamma", "0.5"),
+    ("zeta", "--n", "2", "--s", "2"),
+])
+def test_a_zeta_call_runs_no_majorize(argv):
+    out, result = _modules_run(*argv)
+    assert result["code"] == 0 and len(out) == 1
+    assert "zeta" in result["ran"] and "majorize" not in result["ran"]
+
+
+def test_dominate_runs_majorize():
+    out, result = _modules_run("dominate", "--n", "2", "--s", "2")
+    assert result["code"] == 0 and json.loads(out[0])["dominated"] is True
+    assert "majorize" in result["ran"]
+
+
 def test_public_names_bind_at_once_to_their_defining_objects():
     code = """
 import importlib, json, sys

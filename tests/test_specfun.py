@@ -216,7 +216,7 @@ def test_diagonal_and_antipodal_tables_equal_the_recurrence(t):
                           st.sampled_from([-1.0, -0.999, -0.3, 0.0, 0.5, 0.91, 1.0]),
                           st.integers(0, 3000)), min_size=1, max_size=8))
 def test_gegenbauer_tables_match_a_fresh_recurrence(calls):
-    # random interleavings of a few angles: a kept table is reused, grown or
+    # random interleavings of a few angles: a kept table is reused or
     # replaced, and every returned array has the bits of a run from k = 0
     for n, t, kmax in calls:
         got = gegenbauer_ratio_series(n, t, kmax).tolist()
@@ -234,8 +234,8 @@ _CAP = specfun._FACTOR_CAP
                 min_size=1, max_size=6))
 def test_gegenbauer_tables_match_the_chunked_loop(calls):
     # interleaved angles whose K crosses the factor store's cap and 2^17: a
-    # table from the store, from chunks past it, continued or cut from a kept
-    # one has the bits of the former chunked loop
+    # table from the store, from chunks past it, or cut from a kept one has
+    # the bits of the former chunked loop
     for n, t, kmax in calls:
         got = gegenbauer_ratio_series(n, t, kmax)
         assert got.tobytes() == np.array(chunked_recurrence(n, t, kmax)).tobytes()
@@ -255,6 +255,41 @@ def test_factor_store_stays_bounded():
     r = gegenbauer_ratio_series(2, 0.37, 1 << 21)
     assert len(r) == (1 << 21) + 1 and np.all(np.abs(r) <= 1.0)
     assert 0 < len(specfun._float_ints) <= _CAP
+
+
+def test_a_shorter_request_at_a_kept_angle_runs_no_step(monkeypatch):
+    kept = gegenbauer_ratio_series(7, 0.4, 500)
+
+    def no_step(*args):
+        raise AssertionError("recurrence step run for a kept table")
+
+    monkeypatch.setattr(specfun, "_step_factors", no_step)
+    for kmax in (0, 1, 2, 133, 500):
+        assert gegenbauer_ratio_series(7, 0.4, kmax).tobytes() == kept[:kmax + 1].tobytes()
+
+
+def test_a_longer_request_rebuilds_the_table_from_k_2(monkeypatch):
+    gegenbauer_ratio_series(7, 0.4, 500)
+    step_factors, starts = specfun._step_factors, []
+
+    def counted(n, t, lo, hi):
+        starts.append(lo)
+        return step_factors(n, t, lo, hi)
+
+    monkeypatch.setattr(specfun, "_step_factors", counted)
+    got = gegenbauer_ratio_series(7, 0.4, 900)
+    assert starts == [2]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in _fresh_recurrence(7, 0.4, 900)]
+    assert len(specfun._last_table[1]) == 901
+
+
+def test_the_kept_table_cannot_be_written():
+    gegenbauer_ratio_series(5, -0.35, 300)
+    key, kept = specfun._last_table
+    assert key == (5, (-0.35).hex()) and not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[3] = 0.0
+    assert specfun._recurrence_table(5, -0.35, 100) is kept
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0])

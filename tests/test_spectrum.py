@@ -301,8 +301,8 @@ def test_a_numpy_integer_dimension_is_accepted(call):
 
 def test_spectral_arrays_grow_in_place_of_a_rebuild():
     # interleaved n with growing and shrinking K: every view has the bits of
-    # a fresh build from k = 1, only the last n is kept, and no view can be
-    # written
+    # a fresh build from k = 1, only the last n is kept, whole, and no view
+    # can be written
     calls = [(3, 10), (3, 300), (5, 40), (3, 17), (3, 1025), (8, 2), (2, 70), (9, 5),
              (40, 600), (3, 64), (3, 2000), (5, 4096), (1, 1), (5, 100), (40, 1200)]
     for n, kmax in calls:
@@ -317,9 +317,24 @@ def test_spectral_arrays_grow_in_place_of_a_rebuild():
         assert kmax <= len(held[0]) and len(held[0]) & (len(held[0]) - 1) == 0
 
 
+def test_a_kept_n_serves_a_shorter_request_without_a_build(monkeypatch):
+    _spectral_arrays(6, 700)
+    held = spectrum._last_arrays
+
+    def no_build(*args):
+        raise AssertionError("spectral arrays rebuilt for a kept n")
+
+    monkeypatch.setattr(spectrum, "_spectral_range", no_build)
+    for kmax in (0, 1, 300, 700, 1024):
+        got = _spectral_arrays(6, kmax)
+        assert [len(g) for g in got] == [kmax] * 3
+        assert all(g.base is h for g, h in zip(got, held[1]))
+    assert spectrum._last_arrays is held
+
+
 def test_spectral_arrays_under_concurrent_callers():
-    # more threads than cores, each growing and reading several n: every view
-    # must still have the bits of a fresh build
+    # more threads than cores, each rebuilding and reading several n: every
+    # view must still have the bits of a fresh build
     calls = [(n, kmax) for n in (2, 3, 5, 7, 11, 13) for kmax in (9, 130, 33, 1500, 260)]
     errors = []
 
