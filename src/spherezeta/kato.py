@@ -60,6 +60,16 @@ residual is normed in that mixed basis, where with G = U_H^T U_X it is
 G o (e^{-t w_H[a]} - e^{-t w_X[b]}) + M o (U_H^T Y U_X): two products.
 Spectral norms are c sqrt(lambda_max(B^T B)) with c = max|R| and B = R / c,
 no SVD; the Frobenius norm would overstate them by up to sqrt(m).
+
+Besides the operator and its kept eigenvectors, each call holds a fixed few
+m x m arrays (numpy's own; LAPACK's workspace comes on top), every result
+bit for bit what the plain expressions give: the Laplacian class test one
+boolean mask; ``semigroup`` its product and one factor, symmetrized in
+place a block of rows at a time; ``commute_residual`` two, the semigroup
+dropped before the norm; ``duhamel_residual`` four, U_H, U_X and two
+product buffers (U_H^T Y formed in U_H's storage, U_X read after eigh(H)),
+plus its two m x (steps + 1) node tables; a cycle's eigenvectors are
+gathered from one length-m table a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +82,10 @@ from functools import cached_property, partial
 import numpy as np
 
 from .truncation import _require_int
+
+# rows per block where an m x m array is filled or rewritten in place, so the
+# temporaries of a block are at most _BLOCK_ROWS x m
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -111,8 +125,9 @@ class SymmetricOperator:
     def is_laplacian(self) -> bool:
         """Nonpositive off-diagonal entries, the class the pointwise bound
         needs; computed once, and known without a test for a built graph."""
-        off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.all(off <= 0.0))
+        nonpositive = self.entries <= 0.0
+        nonpositive.flat[::self.dim + 1] = True
+        return bool(nonpositive.all())
 
 
 @dataclass(frozen=True)
@@ -217,11 +232,16 @@ def _cycle_vectors(m: int) -> np.ndarray:
     """Real Fourier modes 1/sqrt(m); sqrt(2/m) cos, sin of 2 pi k j/m for
     0 < k < m/2; (-1)^j/sqrt(m) for even m."""
     j, k = np.arange(m), np.arange(1, (m + 1) // 2)
-    # k j mod m is exact, so one cos/sin table serves every mode
-    wave = (math.sqrt(2.0 / m) * np.exp(2j * np.pi * j / m))[np.outer(j, k) % m]
+    wave = math.sqrt(2.0 / m) * np.exp(2j * np.pi * j / m)
     u = np.empty((m, m))
     u[:, 0] = 1.0 / math.sqrt(m)
-    u[:, 1:2 * k.size + 1:2], u[:, 2:2 * k.size + 1:2] = wave.real, wave.imag
+    # k j mod m is exact, so the parts of one length-m table serve every mode;
+    # gathered a block of rows at a time, no m x m/2 array is made
+    for lo in range(0, m, _BLOCK_ROWS):
+        kj = np.outer(j[lo:lo + _BLOCK_ROWS], k)
+        kj %= m
+        u[lo:lo + _BLOCK_ROWS, 1:2 * k.size + 1:2] = wave.real[kj]
+        u[lo:lo + _BLOCK_ROWS, 2:2 * k.size + 1:2] = wave.imag[kj]
     if m % 2 == 0:
         u[:, -1] = (1 - 2 * (j % 2)) / math.sqrt(m)
     return u
@@ -391,13 +411,25 @@ def _finite(values: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
     return values
 
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """a <- (a + a^T)/2 in place, each entry 0.5 * (a_ij + a_ji): a block of
+    rows is formed, then written to those rows and, transposed, below them."""
+    for lo in range(0, a.shape[0], _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        rows = a[lo:hi, lo:] + a[lo:, lo:hi].T
+        rows *= 0.5
+        a[lo:hi, lo:] = rows
+        a[hi:, lo:hi] = rows[:, hi - lo:].T
+    return a
+
+
 def semigroup(op: SymmetricOperator, t: float) -> SymmetricOperator:
-    """e^{-t L} by spectral calculus, re-symmetrized exactly, and refused
-    when not finite (``_finite``)."""
+    """e^{-t L} by spectral calculus, re-symmetrized exactly in place, and
+    refused when not finite (``_finite``)."""
     _require_nonneg(t, "time")
     w, u = op.eigh
     e = (u * np.exp(-t * w)) @ u.T
-    return SymmetricOperator(op.dim, _finite(0.5 * (e + e.T), t, w))
+    return SymmetricOperator(op.dim, _finite(_symmetrize(e), t, w))
 
 
 def positivity_domination_check(op: SymmetricOperator, t: float, psi,
@@ -437,6 +469,13 @@ def trace_domination_check(op: SymmetricOperator, pot: Potential, t: float,
                        trace_gap=tr_free - tr_full, eig_min_gap=eig_gap, tol=tol)
 
 
+def _decay_table(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """e^{-w[a] s[j]} as one m x len(s) array, computed in place."""
+    table = np.outer(w, s)
+    np.negative(table, out=table)
+    return np.exp(table, out=table)
+
+
 def _simpson_kernel(wh: np.ndarray, wx: np.ndarray, t: float, steps: int) -> np.ndarray:
     """M[a, b] = sum_j omega_j e^{-(t-s_j) w_H[a]} e^{-s_j w_X[b]}, composite Simpson."""
     grid = np.linspace(0.0, t, steps + 1)
@@ -444,7 +483,9 @@ def _simpson_kernel(wh: np.ndarray, wx: np.ndarray, t: float, steps: int) -> np.
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (t / steps) / 3.0
-    return (np.exp(-np.outer(wh, t - grid)) * weights) @ np.exp(-np.outer(wx, grid)).T
+    head = _decay_table(wh, t - grid)
+    head *= weights
+    return head @ _decay_table(wx, grid).T
 
 
 def _spectral_norm(a: np.ndarray) -> float:
@@ -470,15 +511,21 @@ def duhamel_residual(x_op: SymmetricOperator, y_pot: Potential, t: float,
     steps = _require_int(steps, 2, "steps must be a positive even integer")
     if steps % 2:
         raise ValueError("steps must be a positive even integer")
-    wx, ux = x_op.eigh
     wh, uh = np.linalg.eigh(x_op.entries + np.diag(y_pot.diagonal))
+    # read after eigh(H), so a first decomposition of X never meets H
+    wx, ux = x_op.eigh
     # ||R|| = ||U_H^T R U_X|| = ||G o (e^{-t w_H} - e^{-t w_X}) + M o (U_H^T Y U_X)||
-    # with G = U_H^T U_X, the differences taken over all pairs (a, b)
-    resid = _simpson_kernel(wh, wx, t, steps)
-    resid *= (uh.T * y_pot.diagonal) @ ux
+    # with G = U_H^T U_X, the differences taken over all pairs (a, b); the
+    # products go to two buffers, and uh.T * y is formed in uh's own storage
     overlap = uh.T @ ux
-    overlap *= np.subtract.outer(np.exp(-t * wh), np.exp(-t * wx))
+    buf = np.subtract.outer(np.exp(-t * wh), np.exp(-t * wx))
+    overlap *= buf
+    uh *= y_pot.diagonal[:, None]
+    resid = np.matmul(uh.T, ux, out=buf)
+    del uh
+    resid *= _simpson_kernel(wh, wx, t, steps)
     resid += overlap
+    del overlap
     return _spectral_norm(resid)
 
 
@@ -488,7 +535,9 @@ def commute_residual(op: SymmetricOperator, t: float) -> float:
     L and e^{-tL} are both exactly symmetric, so e^{-tL} L = (L e^{-tL})^T.
     """
     p = op.entries @ semigroup(op, t).entries
-    return _spectral_norm(p - p.T)
+    skew = p - p.T
+    del p  # so the norm holds two m x m arrays, not three
+    return _spectral_norm(skew)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

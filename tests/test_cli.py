@@ -703,6 +703,37 @@ def test_rewritten_graph_file_is_parsed_again(capsys, tmp_path):
     assert all(outs[0][check] != outs[1][check] for check in KATO_FILE_FLAGS)
 
 
+# spellings that float() and numpy's C parser must read to the same bits
+_SPELLINGS = ("{!r}", "{:.25g}", "{:.17e}", "{:E}", "{:.3g}", "{:.0f}")
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1e5, -2.5, 0.5)
+_EDGE_TOKENS = (".5", "5.", "1E5", "+1.5", "-0", "0e0", "1e-320", "4.9406564584124654e-324",
+                "+.25e+2", "00012")
+
+
+@pytest.mark.parametrize("layout", ["lines", "tabs", "crlf", "header line", "ragged"])
+def test_decimal_parse_gives_float_bits(layout):
+    import struct
+
+    import numpy as np
+
+    rng = np.random.default_rng(len(layout))
+    m = 47
+    doubles = rng.integers(0, 1 << 64, size=m * m, dtype=np.uint64).view(np.float64)
+    vals = list(_EDGE_VALUES) * 5 + [float(v) for v in doubles if math.isfinite(v)]
+    tokens = [_SPELLINGS[i % len(_SPELLINGS)].format(v) for i, v in enumerate(vals)]
+    tokens = tokens[:m * m - len(_EDGE_TOKENS)] + list(_EDGE_TOKENS)
+    seps = {"lines": ["\n"], "tabs": ["\t"], "crlf": ["\r\n"], "header line": [" "],
+            "ragged": [" ", "  ", "\t", "\n", "\r\n", " \x0b", "\x0c\n"]}[layout]
+    text = f"{m}" + ("\n" if layout != "header line" else " ")
+    text += "".join(tok + seps[i % len(seps)] for i, tok in enumerate(tokens))
+    data = text.encode()
+    fast = cli._decimal_entries(data)
+    assert fast is not None, "the file fell back to the token path"
+    want = b"".join(struct.pack("d", float(tok)) for tok in text.split()[1:])
+    assert fast.tobytes() == want == cli._token_entries(data).tobytes()
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "matrix file is empty"),
     ("3\n2 -1 -1\n-1 2 -1\n", "promises 3x3 entries, found 6"),
@@ -713,6 +744,10 @@ def test_rewritten_graph_file_is_parsed_again(capsys, tmp_path):
     ("0\n", "at least 1x1"),
     ("2\nnan 0\n0 0\n", "must be finite"),
     (None, "cannot read matrix file"),
+    ("-2\n1 0 0 1\n", "matrix file header -2 is below 1"),
+    # decimal text that numpy's parser stops on: the token path names the token
+    ("2\n1 0 0 e\n", "could not convert string to float: 'e'"),
+    ("2\n1 0 0 1-1\n", "could not convert string to float: '1-1'"),
 ])
 def test_failing_graph_file_is_never_kept(capsys, tmp_path, text, message):
     good = tmp_path / "good.mat"

@@ -864,10 +864,70 @@ def test_built_graphs_know_they_are_laplacians(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the Laplacian class was tested")
 
-    graph = random_graph_laplacian(40, 0.2, seed=3)  # its build reads np.diag
-    monkeypatch.setattr(kato.np, "diag", fail)
+    graph = random_graph_laplacian(40, 0.2, seed=3)
+    monkeypatch.setattr(kato.SymmetricOperator.is_laplacian, "func", fail)
     for op in (cycle_laplacian(40), complete_laplacian(40), graph):
         assert op.is_laplacian and is_graph_laplacian(op)
         assert kato_pointwise_check(op, random_state(40, np.random.default_rng(4))).ok
     with pytest.raises(AssertionError, match="class was tested"):
         symmetric_operator(graph.entries).is_laplacian
+
+
+# Memory contracts at m = 512, read with tracemalloc, which sees the arrays
+# numpy allocates but not LAPACK's workspace.  The allowance covers numpy's
+# ufunc iteration buffers (about 128 KiB for a broadcast or transposed
+# operand) and vectors of length m; it does not grow with m^2.
+_MEMORY_M = 512
+_SQUARE = 8 * _MEMORY_M * _MEMORY_M  # bytes of one m x m float64 array
+_ALLOWANCE = 1 << 18
+
+
+def _peak_bytes(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _file_text(op, fmt="{!r}") -> bytes:
+    rows = (" ".join(fmt.format(float(v)) for v in row) for row in op.entries)
+    return (f"{op.dim}\n" + "\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["{!r}", "{:.17e}"])
+def test_file_parse_peaks_at_four_operators(fmt):
+    from spherezeta import cli
+
+    # short spellings (a graph's integers) and 24-byte ones, 3x the operator
+    data = _file_text(random_graph_laplacian(_MEMORY_M, 0.05, 7), fmt)
+    peak = _peak_bytes(lambda: cli._parse_matrix.__wrapped__(data))
+    assert peak <= 4 * _SQUARE + _ALLOWANCE  # 13.9 operators with a str and float per entry
+
+
+def test_laplacian_class_test_holds_no_float_square():
+    op = symmetric_operator(random_graph_laplacian(_MEMORY_M, 0.05, 7).entries)
+    assert _peak_bytes(lambda: op.is_laplacian) <= _SQUARE // 2 + _ALLOWANCE
+    assert op.is_laplacian
+
+
+@pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
+def test_commute_holds_two_squares(builder):
+    op = builder(_MEMORY_M)
+    op.eigh
+    # the formed semigroup and its product, then the product and its transpose's difference
+    assert _peak_bytes(lambda: commute_residual(op, 0.5)) <= 2 * _SQUARE + _ALLOWANCE
+
+
+def test_duhamel_holds_four_squares_and_the_simpson_tables():
+    op = symmetric_operator(random_graph_laplacian(_MEMORY_M, 0.05, 7).entries)
+    pot = potential(np.random.default_rng(1).random(_MEMORY_M))
+    steps = 8
+    # U_H and U_X (decomposed here), then the two product buffers beside them;
+    # the two m x (steps + 1) node tables and M after U_H is dropped
+    tables = 2 * 8 * (steps + 1) * _MEMORY_M
+    peak = _peak_bytes(lambda: duhamel_residual(op, pot, 0.5, steps))
+    assert peak <= 4 * _SQUARE + tables + _ALLOWANCE
