@@ -20,7 +20,7 @@ by numpy's C parser straight into one float64 array, with no Python object
 per entry; any other file is read a token at a time as int() and float()
 read it, so every file gives the same entries and refusals either way, and
 a parse holds at most four operators' worth of arrays (at the 2048-vertex
-limit its RSS rises by about 82 MB, where a str and a float per entry took
+limit its RSS rises by 82-88 MB, where a str and a float per entry took
 534 MB).
 """
 
