@@ -13,7 +13,8 @@ for a fixed (argv, seed).  Exit codes: 0 on success, 2 when a checked
 inequality fails, 1 on usage or domain errors.
 
 A kato ``file:`` graph is read on every call, and the last one that parsed
-and validated is kept with its decompositions, so repeated checks on one
+and validated is kept with its decompositions, keyed by the SHA-256 digest
+of the file's bytes (the text itself is not kept), so repeated checks on one
 file in a process parse and decompose it once; a call prints what a fresh
 process prints for the same argv.  A file of plain decimal text is parsed
 by numpy's C parser straight into one float64 array, with no Python object
@@ -202,15 +203,21 @@ def _header_dim(token) -> int:
     return dim
 
 
+_GRAPH_FORMS = "use cycle:m, complete:m or file:PATH"
+
+
 def _parse_graph(text: str) -> kato.SymmetricOperator:
     kind, _, arg = text.partition(":")
-    if kind == "cycle":
-        return kato.cycle_laplacian(_check_dim(int(arg)))
-    if kind == "complete":
-        return kato.complete_laplacian(_check_dim(int(arg)))
     if kind == "file":
         return _load_matrix(arg)
-    raise UsageError(f"unknown graph spec {text!r}; use cycle:m, complete:m or file:PATH")
+    build = {"cycle": kato.cycle_laplacian, "complete": kato.complete_laplacian}.get(kind)
+    if build is None:
+        raise UsageError(f"unknown graph spec {text!r}; {_GRAPH_FORMS}")
+    try:
+        m = int(arg)
+    except ValueError:
+        raise UsageError(f"graph spec {text!r} needs an integer size m; {_GRAPH_FORMS}") from None
+    return build(_check_dim(m))
 
 
 def _load_matrix(path: str) -> kato.SymmetricOperator:
@@ -222,13 +229,39 @@ def _load_matrix(path: str) -> kato.SymmetricOperator:
     return _parse_matrix(data)
 
 
+def _kept_by_digest(parse):
+    """parse(data) behind lru_cache(maxsize=1) keyed by the SHA-256 hex digest
+    of data: the store keeps the last result and its digest, and the text
+    goes to the parse on the side, so it is freed once the call returns."""
+    texts = {}
+
+    @functools.lru_cache(maxsize=1)
+    def kept(digest: str):
+        return parse(texts[digest])
+
+    @functools.wraps(parse)
+    def call(data: bytes):
+        import hashlib  # only a file graph pays for its import
+
+        digest = hashlib.sha256(data).hexdigest()
+        texts[digest] = data
+        try:
+            return kept(digest)
+        finally:
+            del texts[digest]
+
+    call.cache_info, call.cache_clear = kept.cache_info, kept.cache_clear
+    return call
+
+
 # Keeps the operator of the last file graph that parsed and validated, keyed
-# by the file's full bytes, and with it the eigendecomposition and spectrum
-# its earlier checks cached; any other file is parsed afresh, and a parse
-# that raises is never kept and leaves the kept one in place.  It holds one
-# operator of at most _KATO_MAX_DIM^2 entries, its eigenvectors (as many
-# again) and the file's bytes.
-@functools.lru_cache(maxsize=1)
+# by the SHA-256 digest of the file's bytes, and with it the entries,
+# eigendecomposition and spectrum its earlier checks cached; any other file
+# is parsed afresh, and a parse that raises is never kept and leaves the
+# kept one in place.  It holds one operator of at most _KATO_MAX_DIM^2
+# entries and its eigenvectors (as many again); the file's bytes are freed
+# after the parse.
+@_kept_by_digest
 def _parse_matrix(data: bytes) -> kato.SymmetricOperator:
     entries = _decimal_entries(data)
     if entries is None:

@@ -38,7 +38,12 @@ nonempty, real, finite and exactly symmetric.  The graph builders and
 is symmetric by construction.  Every operator keeps its entries read-only
 and answers once whether it is a graph Laplacian
 (``SymmetricOperator.is_laplacian``); a builder's graph knows it without a
-test.
+test.  An explicit matrix is the operator's entries from the start; a named
+graph builds them on their first read, which only the checks that multiply
+by L make (pointwise, pairing, commute), so positivity, ``semigroup``, trace
+and Duhamel never build L for it.  Trace and Duhamel take L + V in one array
+(``_plus_diagonal``): a named graph's builder output with V added to its
+diagonal in place, any other operator's entries + diag(V).
 
 The pointwise, pairing and positivity checks take one finite state of
 length m or an m x T block of them as columns, and pairing a real, finite,
@@ -61,15 +66,18 @@ G o (e^{-t w_H[a]} - e^{-t w_X[b]}) + M o (U_H^T Y U_X): two products.
 Spectral norms are c sqrt(lambda_max(B^T B)) with c = max|R| and B = R / c,
 no SVD; the Frobenius norm would overstate them by up to sqrt(m).
 
-Besides the operator and its kept eigenvectors, each call holds a fixed few
-m x m arrays (numpy's own; LAPACK's workspace comes on top), every result
-bit for bit what the plain expressions give: the Laplacian class test one
-boolean mask; ``semigroup`` its product and one factor, symmetrized in
-place a block of rows at a time; ``commute_residual`` two, the semigroup
-dropped before the norm; ``duhamel_residual`` four, U_H, U_X and two
-product buffers (U_H^T Y formed in U_H's storage, U_X read after eigh(H)),
-plus its two m x (steps + 1) node tables; a cycle's eigenvectors are
-gathered from one length-m table a block of rows at a time.
+Besides the operator, its kept entries and its kept eigenvectors, each call
+holds a fixed few m x m arrays (numpy's own; LAPACK's workspace comes on
+top), every result bit for bit what the plain expressions give: the
+Laplacian class test one boolean mask; positivity none beyond its states;
+``trace_domination_check`` one, L + V; ``semigroup`` its product and one
+factor, symmetrized in place a block of rows at a time;
+``commute_residual`` two, the semigroup dropped before the norm;
+``duhamel_residual`` four, U_H, U_X and two product buffers (L + V dropped
+after eigh, U_H^T Y formed in U_H's storage, U_X read after eigh(H)), plus
+its two m x (steps + 1) node tables.  A named graph's eigenvectors are
+built a block of rows at a time, a cycle's gathered from one length-m
+table.
 """
 
 from __future__ import annotations
@@ -78,33 +86,57 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .truncation import _require_int
 
-# rows per block where an m x m array is filled or rewritten in place, so the
-# temporaries of a block are at most _BLOCK_ROWS x m
-_BLOCK_ROWS = 64
+# entries per block of rows where an m x m array is filled or rewritten in
+# place, so the temporaries of a block hold about that many numbers whatever m
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _row_blocks(m: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the blocks of rows of an m x m array, about _BLOCK_ENTRIES
+    entries each; hi may pass m."""
+    step = max(1, _BLOCK_ENTRIES // m)
+    return [(lo, lo + step) for lo in range(0, m, step)]
+
+
+class _ClosedForm(NamedTuple):
+    """A named graph's builders, each called on the first read that needs
+    it: its dense Laplacian, its ascending eigenvalues, its eigenvectors."""
+    entries: Callable[[], np.ndarray]
+    spectrum: Callable[[], np.ndarray]
+    vectors: Callable[[], np.ndarray]
 
 
 @dataclass(frozen=True)
 class SymmetricOperator:
     dim: int
-    entries: np.ndarray
-    # a named graph's closed form: builders of its eigenvalues, called on the
-    # first read of spectrum, and of its eigenvectors, on the first read of eigh
-    closed_eigh: tuple[Callable[[], np.ndarray], Callable[[], np.ndarray]] | None = field(
-        default=None, repr=False, compare=False)
+    # the matrix itself, kept as ``entries``; or a named graph's closed form,
+    # which builds entries on their first read
+    source: np.ndarray | _ClosedForm = field(repr=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        if isinstance(self.source, np.ndarray):
+            self.source.setflags(write=False)
+            self.__dict__["entries"] = self.source
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The m x m matrix, read-only; a named graph builds it once, on the
+        first read, since only a check that multiplies by L reads it."""
+        mat = self.source.entries()
+        mat.setflags(write=False)
+        return mat
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, u) with entries = u diag(w) u^T, w ascending; computed once."""
-        if self.closed_eigh:
-            w, u = self.spectrum, self.closed_eigh[1]()
+        if isinstance(self.source, _ClosedForm):
+            w, u = self.spectrum, self.source.vectors()
         else:
             w, u = np.linalg.eigh(self.entries)
             w.setflags(write=False)
@@ -117,7 +149,8 @@ class SymmetricOperator:
         form, the very array eigh reads, without building eigenvectors; else
         eigvalsh's, never eigh's (they differ in the last bits), so the values
         do not depend on whether eigh was read first."""
-        w = self.closed_eigh[0]() if self.closed_eigh else np.linalg.eigvalsh(self.entries)
+        w = (self.source.spectrum() if isinstance(self.source, _ClosedForm)
+             else np.linalg.eigvalsh(self.entries))
         w.setflags(write=False)
         return w
 
@@ -204,10 +237,10 @@ def potential(diagonal) -> Potential:
     return Potential(dim=diag.size, diagonal=diag)
 
 
-def _graph(m: int, mat: np.ndarray, closed_eigh=None) -> SymmetricOperator:
+def _graph(m: int, source: np.ndarray | _ClosedForm) -> SymmetricOperator:
     """A builder's Laplacian: its class is known by construction, so it is
     stored where ``is_laplacian`` keeps its answer instead of being tested."""
-    op = SymmetricOperator(m, mat, closed_eigh)
+    op = SymmetricOperator(m, source)
     op.__dict__["is_laplacian"] = True
     return op
 
@@ -215,12 +248,17 @@ def _graph(m: int, mat: np.ndarray, closed_eigh=None) -> SymmetricOperator:
 def cycle_laplacian(m: int) -> SymmetricOperator:
     """Laplacian of the m-cycle: 2 on the diagonal, -1 to both neighbours."""
     m = _require_int(m, 3, "cycle needs at least 3 vertices")
+    return _graph(m, _ClosedForm(partial(_cycle_entries, m), partial(_cycle_spectrum, m),
+                                 partial(_cycle_vectors, m)))
+
+
+def _cycle_entries(m: int) -> np.ndarray:
     mat = np.zeros((m, m))
     mat.flat[::m + 1] = 2.0
     idx = np.arange(m)
     mat[idx, (idx + 1) % m] = -1.0
     mat[idx, (idx - 1) % m] = -1.0
-    return _graph(m, mat, (partial(_cycle_spectrum, m), partial(_cycle_vectors, m)))
+    return mat
 
 
 def _cycle_spectrum(m: int) -> np.ndarray:
@@ -237,11 +275,12 @@ def _cycle_vectors(m: int) -> np.ndarray:
     u[:, 0] = 1.0 / math.sqrt(m)
     # k j mod m is exact, so the parts of one length-m table serve every mode;
     # gathered a block of rows at a time, no m x m/2 array is made
-    for lo in range(0, m, _BLOCK_ROWS):
-        kj = np.outer(j[lo:lo + _BLOCK_ROWS], k)
+    for lo, hi in _row_blocks(m):
+        kj = np.outer(j[lo:hi], k)
         kj %= m
-        u[lo:lo + _BLOCK_ROWS, 1:2 * k.size + 1:2] = wave.real[kj]
-        u[lo:lo + _BLOCK_ROWS, 2:2 * k.size + 1:2] = wave.imag[kj]
+        u[lo:hi, 1:2 * k.size + 1:2] = wave.real[kj]
+        u[lo:hi, 2:2 * k.size + 1:2] = wave.imag[kj]
+        del kj  # before the next block's product, which takes a ufunc buffer
     if m % 2 == 0:
         u[:, -1] = (1 - 2 * (j % 2)) / math.sqrt(m)
     return u
@@ -250,9 +289,14 @@ def _cycle_vectors(m: int) -> np.ndarray:
 def complete_laplacian(m: int) -> SymmetricOperator:
     """Laplacian of the complete graph K_m: m - 1 on the diagonal, -1 elsewhere."""
     m = _require_int(m, 2, "complete graph needs at least 2 vertices")
+    return _graph(m, _ClosedForm(partial(_complete_entries, m), partial(_complete_spectrum, m),
+                                 partial(_complete_vectors, m)))
+
+
+def _complete_entries(m: int) -> np.ndarray:
     mat = np.full((m, m), -1.0)
     mat.flat[::m + 1] = m - 1.0
-    return _graph(m, mat, (partial(_complete_spectrum, m), partial(_complete_vectors, m)))
+    return mat
 
 
 def _complete_spectrum(m: int) -> np.ndarray:
@@ -269,7 +313,10 @@ def _complete_vectors(m: int) -> np.ndarray:
     c = 1.0 / np.sqrt(k * (k + 1.0))
     u = np.empty((m, m))
     u[:, 0] = 1.0 / math.sqrt(m)
-    u[:, 1:] = np.triu(np.broadcast_to(c, (m, m - 1)))
+    # a block of rows at a time: row lo + i keeps c from column lo + i on
+    for lo, hi in _row_blocks(m):
+        rows = u[lo:hi, 1:]
+        rows[...] = np.triu(np.broadcast_to(c, rows.shape), lo)
     u[k, k] = -k * c
     return u
 
@@ -414,8 +461,7 @@ def _finite(values: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     """a <- (a + a^T)/2 in place, each entry 0.5 * (a_ij + a_ji): a block of
     rows is formed, then written to those rows and, transposed, below them."""
-    for lo in range(0, a.shape[0], _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
+    for lo, hi in _row_blocks(a.shape[0]):
         rows = a[lo:hi, lo:] + a[lo:, lo:hi].T
         rows *= 0.5
         a[lo:hi, lo:] = rows
@@ -452,6 +498,18 @@ def positivity_domination_check(op: SymmetricOperator, t: float, psi,
     return _entrywise(e_abs, np.abs(ev), tol)
 
 
+def _plus_diagonal(op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
+    """L + diag(v) in one fresh array, bit for bit entries + np.diag(v).  A
+    named graph's builder gives an array that takes v on its diagonal in
+    place, since it has no -0.0 entry; any other operator is summed whole,
+    so that a -0.0 off-diagonal comes out as +0.0."""
+    if isinstance(op.source, _ClosedForm):
+        h = op.source.entries()
+        h.flat[::op.dim + 1] += v
+        return h
+    return op.entries + np.diag(v)
+
+
 def trace_domination_check(op: SymmetricOperator, pot: Potential, t: float,
                            tol: float = 1e-10) -> TraceReport:
     """Check Tr e^{-t(L+V)} <= Tr e^{-tL} and per-index eigenvalue domination."""
@@ -460,7 +518,7 @@ def trace_domination_check(op: SymmetricOperator, pot: Potential, t: float,
     _require_nonneg(t, "time")
     _require_nonneg(tol, "tol")
     w_free = op.spectrum
-    w_full = np.linalg.eigvalsh(op.entries + np.diag(pot.diagonal))
+    w_full = np.linalg.eigvalsh(_plus_diagonal(op, pot.diagonal))
     tr_free = float(np.sum(np.exp(-t * w_free)))
     tr_full = float(np.sum(np.exp(-t * w_full)))
     eig_gap = float(np.min(w_full - w_free))
@@ -511,7 +569,7 @@ def duhamel_residual(x_op: SymmetricOperator, y_pot: Potential, t: float,
     steps = _require_int(steps, 2, "steps must be a positive even integer")
     if steps % 2:
         raise ValueError("steps must be a positive even integer")
-    wh, uh = np.linalg.eigh(x_op.entries + np.diag(y_pot.diagonal))
+    wh, uh = np.linalg.eigh(_plus_diagonal(x_op, y_pot.diagonal))
     # read after eigh(H), so a first decomposition of X never meets H
     wx, ux = x_op.eigh
     # ||R|| = ||U_H^T R U_X|| = ||G o (e^{-t w_H} - e^{-t w_X}) + M o (U_H^T Y U_X)||

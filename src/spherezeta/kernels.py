@@ -45,6 +45,7 @@ from .truncation import (
     DEFAULT_POLICY,
     AccuracyError,
     EvalResult,
+    TruncationError,
     TruncationPolicy,
     _roundoff_allowance,
     smallest_k,
@@ -288,6 +289,14 @@ def mellin_zeta_kernel(s: float, q: KernelQuery) -> EvalResult:
     node_tol = target * s * math.exp(min(lg_s - s * math.log(t_cut),
                                          700.0 - math.log(max(target * s, 1.0))))
 
+    # below its monotonicity threshold the heat tail bound is inf, so a
+    # threshold past the term budget leaves no K that bounds the node at t_min
+    c = q.policy.max_k + 1.0
+    if n > 1 and c * c < (n - 1) / (2.0 * t_min):
+        raise TruncationError(
+            f"the heat tail bound at the head cut t_min = {t_min:.3e} holds only from "
+            f"k = sqrt((n-1)/(2 t_min)) = {math.sqrt((n - 1) / (2.0 * t_min)):.3e} on, "
+            f"past the term budget max_k={q.policy.max_k}")
     k_cap = smallest_k(lambda k: (0.0, _heat_tail_bound(n, t_min, k) / vol), node_tol,
                        _heat_k_min(n, t_min), q.policy.max_k)[0]
     lam, _, d = _spectral_arrays(n, k_cap)

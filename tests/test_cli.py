@@ -187,6 +187,12 @@ def test_kato_graph_file(capsys, tmp_path):
     assert cli.main(["kato", "pointwise", "--graph", "file:/no/such"]) == 1
     assert cli.main(["kato", "pointwise", "--graph", "moebius:7"]) == 1
     capsys.readouterr()
+    # a size that is not an integer was refused with Python's int() message
+    for spec in ("cycle:abc", "cycle:", "complete:8.0"):
+        assert cli.main(["kato", "pointwise", "--graph", spec]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"usage error: graph spec {spec!r} needs an integer "
+                                     "size m; use cycle:m, complete:m or file:PATH\n")
     empty = tmp_path / "empty.mat"
     empty.write_text("0\n")
     for check in ("pointwise", "positivity", "trace", "duhamel", "commute"):
@@ -533,6 +539,16 @@ def test_mellin_large_s_refuses_cleanly(capsys, s):
     assert records(out)[0]["verdict"] is True
 
 
+@pytest.mark.parametrize("n, s, threshold", [("2", "1.5", "1.016e+07"), ("3", "2", "1.437e+07")])
+def test_mellin_head_cut_past_the_term_budget_names_it(capsys, n, s, threshold):
+    # the heat tail bound was inf below its monotonicity threshold, and the
+    # refusal read "tail bound inf still exceeds ... at the term budget"
+    err = failure(capsys, ["mellin-check", "--n", n, "--s", s, "--cos-gamma", "0.5"])
+    assert err == ("error: the heat tail bound at the head cut t_min = 4.845e-15 holds "
+                   f"only from k = sqrt((n-1)/(2 t_min)) = {threshold} on, past the term "
+                   "budget max_k=2000000\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dominate", "--n", "2", "--s", "2", "--kmax", "100000000"], "term budget"),
     (["dominate", "--n", "2", "--s", "2", "--kmax", "65", "--max-k", "64"], "term budget"),
@@ -684,6 +700,25 @@ def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, tmp_path):
     assert cli._parse_matrix.cache_info().misses == 1
     op = cli._parse_matrix(path.read_bytes())
     assert cli._parse_graph(f"file:{path}") is op and "eigh" in vars(op)
+
+
+def test_kept_file_graph_holds_no_bytes(capsys, tmp_path):
+    import gc
+
+    path = tmp_path / "g.mat"
+    _write_graph(path, kato.random_graph_laplacian(24, 0.2, 3))
+    cli._parse_matrix.cache_clear()
+    data = path.read_bytes()
+    refs = sys.getrefcount(data)
+    op = cli._parse_matrix(data)
+    assert sys.getrefcount(data) == refs  # the text is not kept
+    held = gc.get_referents(cli._parse_matrix.cache_info.__self__)
+    assert any(x is op for x in held)
+    assert not any(isinstance(x, (bytes, bytearray, memoryview)) for x in held)
+    # the same bytes, read again, find the kept operator by their digest
+    assert cli._parse_matrix(path.read_bytes()) is op
+    assert run(capsys, ["kato", "commute", "--graph", f"file:{path}"])[0] == 0
+    assert cli._parse_matrix.cache_info().misses == 1
 
 
 def test_rewritten_graph_file_is_parsed_again(capsys, tmp_path):

@@ -917,7 +917,7 @@ def test_laplacian_class_test_holds_no_float_square():
 @pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
 def test_commute_holds_two_squares(builder):
     op = builder(_MEMORY_M)
-    op.eigh
+    op.eigh, op.entries  # kept by the operator: a named graph builds L on first read
     # the formed semigroup and its product, then the product and its transpose's difference
     assert _peak_bytes(lambda: commute_residual(op, 0.5)) <= 2 * _SQUARE + _ALLOWANCE
 
@@ -931,3 +931,46 @@ def test_duhamel_holds_four_squares_and_the_simpson_tables():
     tables = 2 * 8 * (steps + 1) * _MEMORY_M
     peak = _peak_bytes(lambda: duhamel_residual(op, pot, 0.5, steps))
     assert peak <= 4 * _SQUARE + tables + _ALLOWANCE
+
+
+@pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
+def test_positivity_on_a_named_graph_holds_its_eigenvectors_alone(builder):
+    rng = np.random.default_rng(2)
+    psi = np.array([random_state(_MEMORY_M, rng) for _ in range(4)]).T
+    # the graph is built inside the call: its eigenvectors, never L
+    peak = _peak_bytes(lambda: positivity_domination_check(builder(_MEMORY_M), 0.5, psi))
+    assert peak <= _SQUARE + _ALLOWANCE
+
+
+@pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
+def test_trace_on_a_named_graph_holds_one_square(builder):
+    pot = potential(np.random.default_rng(3).random(_MEMORY_M))
+    # L + V in the builder's array, and no L beside it
+    peak = _peak_bytes(lambda: trace_domination_check(builder(_MEMORY_M), pot, 0.5))
+    assert peak <= _SQUARE + _ALLOWANCE
+
+
+@pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
+def test_duhamel_on_a_named_graph_holds_four_squares_and_the_simpson_tables(builder):
+    pot = potential(np.random.default_rng(4).random(_MEMORY_M))
+    steps = 8
+    tables = 2 * 8 * (steps + 1) * _MEMORY_M
+    peak = _peak_bytes(lambda: duhamel_residual(builder(_MEMORY_M), pot, 0.5, steps))
+    assert peak <= 4 * _SQUARE + tables + _ALLOWANCE
+
+
+@pytest.mark.parametrize("builder", [cycle_laplacian, complete_laplacian])
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 255, 256, 257, 512])
+def test_named_graph_plus_potential_keeps_the_bits_of_the_full_sum(builder, m):
+    v = np.random.default_rng(m).random(m)
+    v[:2] = -0.0, 0.0
+    pot = potential(v)
+    op = builder(m)
+    ref = symmetric_operator(op.entries)
+    # the same free decomposition on both sides, so only L + V can differ
+    ref.__dict__.update(spectrum=op.spectrum, eigh=op.eigh)
+    assert kato._plus_diagonal(op, v).tobytes() == (op.entries + np.diag(v)).tobytes()
+    for t in (0.0, 0.5, 2.0, 1e3):
+        assert repr(trace_domination_check(op, pot, t)) == repr(trace_domination_check(ref, pot, t))
+        assert (duhamel_residual(op, pot, t, 8).hex()
+                == duhamel_residual(ref, pot, t, 8).hex())

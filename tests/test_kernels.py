@@ -283,6 +283,19 @@ def test_mellin_guard_rails():
         mellin_zeta_kernel(2.0, capped)
 
 
+def test_mellin_head_cut_past_the_term_budget_is_a_truncation_error(monkeypatch):
+    # t_min ~ 4.8e-15 puts the heat tail's monotonicity threshold at ~1e7 > max_k;
+    # the refusal comes before the spectrum for the node series is built
+    def unreachable(*args):
+        raise AssertionError("node series built for a refused query")
+
+    monkeypatch.setattr(kernels, "_spectral_arrays", unreachable)
+    qq = KernelQuery(n=2, cos_gamma=0.5, policy=TruncationPolicy(max_k=2_000_000, tol=1e-7))
+    with pytest.raises(TruncationError, match=r"t_min = 4\.845e-15 .* = 1\.016e\+07 on, "
+                                              r"past the term budget max_k=2000000"):
+        mellin_zeta_kernel(1.5, qq)
+
+
 @pytest.mark.parametrize("n", [12, 16, 20])
 def test_zeta_kernel_high_dimension_certifies(n):
     # the zeta tail uses the exact multiplicity polynomial, so s = n/2 + 1
