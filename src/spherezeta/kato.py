@@ -117,26 +117,26 @@ class SymmetricOperator:
     dim: int
     # the matrix itself, kept as ``entries``; or a named graph's closed form,
     # which builds entries on their first read
-    source: np.ndarray | _ClosedForm = field(repr=False)
+    _source: np.ndarray | _ClosedForm = field(repr=False)
 
     def __post_init__(self):
-        if isinstance(self.source, np.ndarray):
-            self.source.setflags(write=False)
-            self.__dict__["entries"] = self.source
+        if isinstance(self._source, np.ndarray):
+            self._source.setflags(write=False)
+            self.__dict__["entries"] = self._source
 
     @cached_property
     def entries(self) -> np.ndarray:
         """The m x m matrix, read-only; a named graph builds it once, on the
         first read, since only a check that multiplies by L reads it."""
-        mat = self.source.entries()
+        mat = self._source.entries()
         mat.setflags(write=False)
         return mat
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, u) with entries = u diag(w) u^T, w ascending; computed once."""
-        if isinstance(self.source, _ClosedForm):
-            w, u = self.spectrum, self.source.vectors()
+        if isinstance(self._source, _ClosedForm):
+            w, u = self.spectrum, self._source.vectors()
         else:
             w, u = np.linalg.eigh(self.entries)
             w.setflags(write=False)
@@ -149,7 +149,7 @@ class SymmetricOperator:
         form, the very array eigh reads, without building eigenvectors; else
         eigvalsh's, never eigh's (they differ in the last bits), so the values
         do not depend on whether eigh was read first."""
-        w = (self.source.spectrum() if isinstance(self.source, _ClosedForm)
+        w = (self._source.spectrum() if isinstance(self._source, _ClosedForm)
              else np.linalg.eigvalsh(self.entries))
         w.setflags(write=False)
         return w
@@ -503,8 +503,8 @@ def _plus_diagonal(op: SymmetricOperator, v: np.ndarray) -> np.ndarray:
     named graph's builder gives an array that takes v on its diagonal in
     place, since it has no -0.0 entry; any other operator is summed whole,
     so that a -0.0 off-diagonal comes out as +0.0."""
-    if isinstance(op.source, _ClosedForm):
-        h = op.source.entries()
+    if isinstance(op._source, _ClosedForm):
+        h = op._source.entries()
         h.flat[::op.dim + 1] += v
         return h
     return op.entries + np.diag(v)
