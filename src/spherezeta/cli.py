@@ -13,22 +13,21 @@ for a fixed (argv, seed).  Exit codes: 0 on success, 2 when a checked
 inequality fails, 1 on usage or domain errors.
 
 A kato ``file:`` graph is read on every call, and the last one that parsed
-and validated is kept with its decompositions, keyed by the SHA-256 digest
-of the file's bytes (the text itself is not kept), so repeated checks on one
-file in a process parse and decompose it once; a call prints what a fresh
-process prints for the same argv.  A file of plain decimal text is parsed
-by numpy's C parser straight into one float64 array, with no Python object
-per entry; any other file is read a token at a time as int() and float()
-read it, so every file gives the same entries and refusals either way, and
-a parse holds at most four operators' worth of arrays (at the 2048-vertex
-limit its RSS rises by 82-88 MB, where a str and a float per entry took
-534 MB).
+and validated is kept as one entry: the SHA-256 digest of the file's bytes
+and the operator with its decompositions (the text itself is not kept), so
+repeated checks on one file in a process parse and decompose it once; a
+call prints what a fresh process prints for the same argv.  A file of plain
+decimal text is parsed by numpy's C parser straight into one float64 array,
+with no Python object per entry; any other file is read a token at a time
+as int() and float() read it, so every file gives the same entries and
+refusals either way, and a parse holds at most four operators' worth of
+arrays (at the 2048-vertex limit its RSS rises by 82-88 MB, where a str and
+a float per entry took 534 MB).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib.util
 import io
 import itertools
@@ -103,27 +102,27 @@ def _json_value(v) -> str:
     return _fmt(v)
 
 
+_FORMATS = ("json", "csv")
+
+
 def _emit(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
             body = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in rec.items())
             out.write("{" + body + "}\n")
         return
-    if fmt == "csv":
-        if not records:
-            return
-        import csv  # CSV output only
-
-        keys = list(records[0].keys())
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(keys)
-        for rec in records:
-            writer.writerow(
-                ["" if rec.get(k) is None else _fmt(rec.get(k)).strip('"')
-                 for k in keys]
-            )
+    if not records:
         return
-    raise UsageError(f"unknown format {fmt!r}")
+    import csv  # CSV output only
+
+    keys = list(records[0].keys())
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(keys)
+    for rec in records:
+        writer.writerow(
+            ["" if rec.get(k) is None else _fmt(rec.get(k)).strip('"')
+             for k in keys]
+        )
 
 
 # most points a --s-grid / --t-grid may expand to
@@ -170,6 +169,9 @@ def _load_config(path: str) -> dict:
                 key, val = key.strip(), val.strip()
                 if key not in known:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                if key == "format" and val not in _FORMATS:
+                    raise UsageError(f"{path}:{lineno}: unknown format {val!r}; "
+                                     "use json or csv")
                 cfg[key] = known[key](val)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
@@ -181,9 +183,12 @@ def _load_config(path: str) -> dict:
 # kato budgets, each refused before the work it bounds is allocated: the
 # dense m x m graph, one O(m^2) product per state of the pointwise, pairing
 # and positivity checks, one O(m^3) eigvalsh of L + V per trace trial, and
-# the two m x (steps + 1) Simpson node tables of the Duhamel check
+# the two m x (steps + 1) Simpson node tables of the Duhamel check.  A trial
+# is priced at no fewer than _KATO_MIN_PRICED_DIM vertices: below that its
+# fixed cost (about 85 us per trace trial on cycle:3), not m^p, sets its time.
 _KATO_MAX_DIM = 2048
 _KATO_MAX_WORK = 1 << 34
+_KATO_MIN_PRICED_DIM = 64
 _KATO_MAX_DUHAMEL_ENTRIES = 1 << 20
 
 
@@ -220,48 +225,32 @@ def _parse_graph(text: str) -> kato.SymmetricOperator:
     return build(_check_dim(m))
 
 
+# (SHA-256 hex digest of a file's bytes, its operator) of the last file graph
+# that parsed and validated, replaced whole and set only by _load_matrix: at
+# most _KATO_MAX_DIM^2 entries and the eigenvectors its checks computed (as
+# many again), and none of the file's bytes.
+_kept_graph: tuple = ("", None)
+
+
 def _load_matrix(path: str) -> kato.SymmetricOperator:
+    """The operator of the matrix file at path: the kept one when the file's
+    bytes have its digest, else a fresh parse that is kept if it succeeds."""
+    import hashlib  # only a file graph pays for its import
+
+    global _kept_graph
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read matrix file: {exc}") from exc
-    return _parse_matrix(data)
+    digest = hashlib.sha256(data).hexdigest()
+    kept_digest, op = _kept_graph
+    if digest != kept_digest:
+        op = _parse_matrix(data)
+        _kept_graph = (digest, op)
+    return op
 
 
-def _kept_by_digest(parse):
-    """parse(data) behind lru_cache(maxsize=1) keyed by the SHA-256 hex digest
-    of data: the store keeps the last result and its digest, and the text
-    goes to the parse on the side, so it is freed once the call returns."""
-    texts = {}
-
-    @functools.lru_cache(maxsize=1)
-    def kept(digest: str):
-        return parse(texts[digest])
-
-    @functools.wraps(parse)
-    def call(data: bytes):
-        import hashlib  # only a file graph pays for its import
-
-        digest = hashlib.sha256(data).hexdigest()
-        texts[digest] = data
-        try:
-            return kept(digest)
-        finally:
-            del texts[digest]
-
-    call.cache_info, call.cache_clear = kept.cache_info, kept.cache_clear
-    return call
-
-
-# Keeps the operator of the last file graph that parsed and validated, keyed
-# by the SHA-256 digest of the file's bytes, and with it the entries,
-# eigendecomposition and spectrum its earlier checks cached; any other file
-# is parsed afresh, and a parse that raises is never kept and leaves the
-# kept one in place.  It holds one operator of at most _KATO_MAX_DIM^2
-# entries and its eigenvectors (as many again); the file's bytes are freed
-# after the parse.
-@_kept_by_digest
 def _parse_matrix(data: bytes) -> kato.SymmetricOperator:
     entries = _decimal_entries(data)
     if entries is None:
@@ -324,7 +313,7 @@ def _global_flags() -> argparse.ArgumentParser:
     # either side of the subcommand; SUPPRESS keeps a subparser from
     # clobbering a value parsed at the top level
     g = argparse.ArgumentParser(add_help=False)
-    g.add_argument("--format", choices=("json", "csv"),
+    g.add_argument("--format", choices=_FORMATS,
                    default=argparse.SUPPRESS)
     g.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="accuracy target / verdict tolerance")
@@ -537,9 +526,9 @@ def _cmd_kato(args):
     m = op.dim
     if args.check in ("pointwise", "pairing", "positivity", "trace"):
         power, budget = (3, "trace") if args.check == "trace" else (2, "state")
-        if args.trials * m**power > _KATO_MAX_WORK:
-            raise UsageError(f"--trials {args.trials} x m^{power} at m = {m} exceeds the "
-                             f"{budget} budget of 2^34")
+        if args.trials * max(m, _KATO_MIN_PRICED_DIM)**power > _KATO_MAX_WORK:
+            raise UsageError(f"--trials {args.trials} x max(m, {_KATO_MIN_PRICED_DIM})^{power} "
+                             f"at m = {m} exceeds the {budget} budget of 2^34")
     if args.check == "duhamel" and (args.steps + 1) * m > _KATO_MAX_DUHAMEL_ENTRIES:
         raise UsageError(f"(--steps {args.steps} + 1) x m at m = {m} exceeds the "
                          "Duhamel budget of 2^20")
@@ -645,6 +634,12 @@ def main(argv=None) -> int:
             records, ok = _COMMANDS[args.command](args)
         buf = io.StringIO()
         _emit(records, args.format or "json", buf)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(buf.getvalue())
+            except OSError as exc:
+                raise UsageError(f"cannot write output: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -652,12 +647,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(buf.getvalue())
     return 0 if ok else 2
 
 

@@ -486,7 +486,7 @@ def positivity_domination_check(op: SymmetricOperator, t: float, psi,
     the operator must again be of graph-Laplacian type.  e^{-tL} acts as
     u (e^{-tw} (u^T x)) in L's kept eigenbasis, never formed as a matrix.
     """
-    v = _states(op, psi, tol, "domination")
+    v = _states(op, psi, tol, "positivity")
     _require_nonneg(t, "time")
     w, u = op.eigh
     decay = _finite(np.exp(-t * w), t, w)[:, None]

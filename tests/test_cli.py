@@ -339,6 +339,13 @@ def test_out_file(capsys, tmp_path):
     assert rec["command"] == "zeta"
 
 
+@pytest.mark.parametrize("dest", ["missing/z.ndjson", "."])
+def test_unwritable_out_file_is_a_usage_error(capsys, tmp_path, dest):
+    # a missing directory, and a path that is a directory
+    err = failure(capsys, ["zeta", "--n", "2", "--s", "3", "--out", str(tmp_path / dest)])
+    assert err.startswith("usage error: cannot write output: ")
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tol = 1e-5\nformat = csv\n")
@@ -467,14 +474,15 @@ def test_mellin_config_keys_accepted(capsys, tmp_path, line):
     assert rec["quad_nodes"] == records(default)[0]["quad_nodes"]
 
 
-def test_config_format_must_be_known(capsys, tmp_path):
-    # an unknown format from the config file used to escape main as a traceback
+def test_config_format_must_be_known(capsys, monkeypatch, tmp_path):
+    # refused where the config file is read, before the command runs
+    called = []
+    monkeypatch.setitem(cli._COMMANDS, "majorize", called.append)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("format = xml\n")
-    assert cli.main(["majorize", "--x", "3,1", "--y", "2,2", "--config", str(cfg)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unknown format" in captured.err
+    cfg.write_text("tol = 1e-9\nformat = xml\n")
+    err = failure(capsys, ["majorize", "--x", "3,1", "--y", "2,2", "--config", str(cfg)])
+    assert f"{cfg}:2: unknown format 'xml'" in err
+    assert called == []
 
 
 @pytest.mark.parametrize("key", ["split_point", "nodes_small", "nodes_large",
@@ -628,6 +636,9 @@ def test_bad_tol_is_a_usage_error(capsys, tmp_path, argv, bad):
     (["kato", "trace", "--graph", "cycle:1024"], "trace budget of 2^34"),
     (["kato", "duhamel", "--graph", "cycle:1024", "--steps", "2048"],
      "Duhamel budget of 2^20"),
+    # a trial below 64 vertices is priced as one on 64
+    (["kato", "trace", "--graph", "cycle:3", "--trials", "65537"],
+     "--trials 65537 x max(m, 64)^3 at m = 3 exceeds the trace budget of 2^34"),
 ])
 def test_kato_budgets_refuse_before_the_work(capsys, argv, limit):
     start = time.perf_counter()
@@ -653,12 +664,13 @@ def test_state_checks_hold_trials_to_the_budget(capsys, monkeypatch, check, grap
         raise _Drawn
 
     monkeypatch.setattr(cli.np.random, "default_rng", draw)
-    limit = (1 << 34) // m**2
+    limit = (1 << 34) // max(m, 64)**2
     with pytest.raises(_Drawn):  # at the limit the states are drawn
         cli.main(["kato", check, "--graph", graph, "--trials", str(limit)])
     # one past it the call is refused before any state is drawn
     err = failure(capsys, ["kato", check, "--graph", graph, "--trials", str(limit + 1)])
-    assert f"--trials {limit + 1} x m^2 at m = {m} exceeds the state budget of 2^34" in err
+    assert (f"--trials {limit + 1} x max(m, 64)^2 at m = {m} exceeds the state budget of 2^34"
+            in err)
 
 
 KATO_FILE_FLAGS = {
@@ -680,50 +692,74 @@ def _kato_on(capsys, path, check):
     return run(capsys, ["kato", check, "--graph", f"file:{path}", *KATO_FILE_FLAGS[check]])
 
 
-def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, tmp_path):
+def _forget_graph(monkeypatch):
+    monkeypatch.setattr(cli, "_kept_graph", ("", None))
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sizes of the files parsed from here on, none kept at the start."""
+    sizes = []
+    parse = cli._parse_matrix
+
+    def counted(data):
+        sizes.append(len(data))
+        return parse(data)
+
+    monkeypatch.setattr(cli, "_parse_matrix", counted)
+    _forget_graph(monkeypatch)
+    return sizes
+
+
+def test_kept_file_graph_prints_what_a_fresh_process_prints(capsys, monkeypatch, tmp_path,
+                                                            parses):
     path = tmp_path / "g.mat"
     _write_graph(path, kato.random_graph_laplacian(24, 0.2, 3))
     fresh = {}
     for check in KATO_FILE_FLAGS:
-        cli._parse_matrix.cache_clear()
+        _forget_graph(monkeypatch)
         fresh[check] = _kato_on(capsys, path, check)
     for check in KATO_FILE_FLAGS:
         for before in KATO_FILE_FLAGS.keys() - {check}:
-            cli._parse_matrix.cache_clear()
+            _forget_graph(monkeypatch)
             _kato_on(capsys, path, before)
             assert _kato_on(capsys, path, check) == fresh[check], (before, check)
     for order in (list(KATO_FILE_FLAGS), list(KATO_FILE_FLAGS)[::-1]):
-        cli._parse_matrix.cache_clear()
+        _forget_graph(monkeypatch)
+        del parses[:]
         assert [_kato_on(capsys, path, check) for check in order] == [fresh[c] for c in order]
     # the whole order ran on one operator, parsed once and decomposed by its
     # first eigh reader
-    assert cli._parse_matrix.cache_info().misses == 1
-    op = cli._parse_matrix(path.read_bytes())
+    assert len(parses) == 1
+    op = cli._kept_graph[1]
     assert cli._parse_graph(f"file:{path}") is op and "eigh" in vars(op)
+    assert len(parses) == 1
 
 
-def test_kept_file_graph_holds_no_bytes(capsys, tmp_path):
+def test_kept_file_graph_holds_no_bytes(capsys, tmp_path, parses):
     import gc
+    import hashlib
 
     path = tmp_path / "g.mat"
     _write_graph(path, kato.random_graph_laplacian(24, 0.2, 3))
-    cli._parse_matrix.cache_clear()
     data = path.read_bytes()
     refs = sys.getrefcount(data)
-    op = cli._parse_matrix(data)
-    assert sys.getrefcount(data) == refs  # the text is not kept
-    held = gc.get_referents(cli._parse_matrix.cache_info.__self__)
-    assert any(x is op for x in held)
+    cli._parse_matrix(data)
+    assert sys.getrefcount(data) == refs  # the parse keeps no reference to the text
+    op = cli._load_matrix(str(path))
+    digest, kept = cli._kept_graph
+    assert kept is op and digest == hashlib.sha256(data).hexdigest()
+    held = gc.get_referents(cli._kept_graph) + gc.get_referents(vars(op))
     assert not any(isinstance(x, (bytes, bytearray, memoryview)) for x in held)
     # the same bytes, read again, find the kept operator by their digest
-    assert cli._parse_matrix(path.read_bytes()) is op
+    del parses[:]
+    assert cli._load_matrix(str(path)) is op
     assert run(capsys, ["kato", "commute", "--graph", f"file:{path}"])[0] == 0
-    assert cli._parse_matrix.cache_info().misses == 1
+    assert parses == []
 
 
-def test_rewritten_graph_file_is_parsed_again(capsys, tmp_path):
+def test_rewritten_graph_file_is_parsed_again(capsys, monkeypatch, tmp_path, parses):
     path = tmp_path / "g.mat"
-    cli._parse_matrix.cache_clear()
     outs = []
     for seed in (3, 4):
         # fixed-width entries, so the rewrite keeps the size; the mtime is set back
@@ -733,7 +769,8 @@ def test_rewritten_graph_file_is_parsed_again(capsys, tmp_path):
         os.utime(path, ns=(first.st_atime_ns, first.st_mtime_ns))
         assert path.stat().st_size == first.st_size
         outs.append({check: _kato_on(capsys, path, check) for check in KATO_FILE_FLAGS})
-    cli._parse_matrix.cache_clear()
+    assert len(parses) == 2
+    _forget_graph(monkeypatch)
     assert {check: _kato_on(capsys, path, check) for check in KATO_FILE_FLAGS} == outs[1]
     assert all(outs[0][check] != outs[1][check] for check in KATO_FILE_FLAGS)
 
@@ -784,21 +821,29 @@ def test_decimal_parse_gives_float_bits(layout):
     ("2\n1 0 0 e\n", "could not convert string to float: 'e'"),
     ("2\n1 0 0 1-1\n", "could not convert string to float: '1-1'"),
 ])
-def test_failing_graph_file_is_never_kept(capsys, tmp_path, text, message):
+def test_failing_graph_file_is_never_kept(capsys, tmp_path, parses, text, message):
     good = tmp_path / "good.mat"
     good.write_text("3\n2 -1 -1\n-1 2 -1\n-1 -1 2\n")
-    cli._parse_matrix.cache_clear()
     assert run(capsys, ["kato", "commute", "--graph", f"file:{good}"])[0] == 0
-    kept = cli._parse_matrix(good.read_bytes())
+    kept = cli._kept_graph
     bad = tmp_path / "bad.mat"
     if text is not None:
         bad.write_text(text)
     errs = [failure(capsys, ["kato", "commute", "--graph", f"file:{bad}"]) for _ in range(3)]
     assert message in errs[0] and errs[0] == errs[1] == errs[2]
     # the good graph is still the one kept: it is not parsed again
-    info = cli._parse_matrix.cache_info()
-    assert cli._parse_matrix(good.read_bytes()) is kept
-    assert cli._parse_matrix.cache_info() == info._replace(hits=info.hits + 1)
+    assert cli._kept_graph is kept
+    del parses[:]
+    assert cli._load_matrix(str(good)) is kept[1]
+    assert parses == []
+
+
+@pytest.mark.parametrize("check", ["pointwise", "pairing", "positivity"])
+def test_state_check_on_a_non_laplacian_names_itself(capsys, tmp_path, check):
+    path = tmp_path / "g.mat"
+    path.write_text("2\n1 1\n1 1\n")
+    err = failure(capsys, ["kato", check, "--graph", f"file:{path}", "--trials", "2"])
+    assert f"error: {check} check requires nonpositive off-diagonals" in err
 
 
 def _negative_ground_graph():

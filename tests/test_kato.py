@@ -658,12 +658,12 @@ def test_duhamel_and_trace_decomposition_counts(eig_calls):
     assert [name for name, _ in eig_calls] == ["eigvalsh"]  # L + V only
 
 
-def test_kept_file_graph_decomposes_once_across_checks(eig_calls, capsys):
+def test_kept_file_graph_decomposes_once_across_checks(eig_calls, capsys, monkeypatch):
     from spherezeta import cli
 
     path = Path(__file__).with_name("graph12.mat")
     entries = random_graph_laplacian(12, 0.3, seed=12).entries
-    cli._parse_matrix.cache_clear()
+    monkeypatch.setattr(cli, "_kept_graph", ("", None))
     for check, *flags in (["positivity", "--trials", "5"], ["duhamel", "--steps", "256"],
                           ["commute"]):
         assert cli.main(["kato", check, "--graph", f"file:{path}", *flags]) == 0
@@ -904,7 +904,7 @@ def test_file_parse_peaks_at_four_operators(fmt):
 
     # short spellings (a graph's integers) and 24-byte ones, 3x the operator
     data = _file_text(random_graph_laplacian(_MEMORY_M, 0.05, 7), fmt)
-    peak = _peak_bytes(lambda: cli._parse_matrix.__wrapped__(data))
+    peak = _peak_bytes(lambda: cli._parse_matrix(data))
     assert peak <= 4 * _SQUARE + _ALLOWANCE  # 13.9 operators with a str and float per entry
 
 
